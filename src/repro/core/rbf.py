@@ -22,7 +22,7 @@ import numpy as np
 
 from repro._validation import as_2d_float_array
 from repro.errors import ModelError, NotFittedError
-from repro.core.regression_tree import RegressionTree
+from repro.core.regression_tree import RegressionTree, check_fit_data
 
 #: Weight-solving strategies.
 SOLVERS = ("ridge_gcv", "forward")
@@ -43,25 +43,32 @@ def _gcv_ridge(phi: np.ndarray, y: np.ndarray,
                lambda_grid: Sequence[float]):
     """Ridge weights with lambda chosen by GCV, via SVD of ``phi``.
 
+    The GCV score of every lambda is evaluated at once on ``(L, m)``
+    arrays (row reductions sum exactly as per-lambda 1-D reductions
+    would); the first lambda reaching the minimum score wins, and only
+    its weights are solved.
+
     Returns ``(weights, best_lambda, gcv_score)``.
     """
     n = phi.shape[0]
     u, s, vt = np.linalg.svd(phi, full_matrices=False)
     uty = u.T @ y
     y_norm2 = float(y @ y)
-    best = None
-    for lam in lambda_grid:
-        shrink = s * s / (s * s + lam)           # diagonal of the hat matrix core
-        fitted_norm2 = float(np.sum((shrink * uty) ** 2))
-        cross = float(np.sum(shrink * uty * uty))
-        rss = max(y_norm2 - 2.0 * cross + fitted_norm2, 0.0)
-        trace_s = float(np.sum(shrink))
-        denom = max(n - trace_s, 1e-9)
-        gcv = n * rss / denom ** 2
-        if best is None or gcv < best[2]:
-            coef = vt.T @ ((s / (s * s + lam)) * uty)
-            best = (coef, lam, gcv)
-    return best
+    lams = np.array(lambda_grid, dtype=float)[:, None]
+    shrink = s * s / (s * s + lams)              # diagonal of the hat matrix core
+    fitted_norm2 = np.sum((shrink * uty) ** 2, axis=1)
+    cross = np.sum(shrink * uty * uty, axis=1)
+    rss = y_norm2 - 2.0 * cross + fitted_norm2
+    rss = np.where(0.0 > rss, 0.0, rss)
+    denom = n - np.sum(shrink, axis=1)
+    denom = np.where(1e-9 > denom, 1e-9, denom)
+    scores = (n * rss / denom ** 2).tolist()
+    # min() keeps the first of equal keys and only moves on a strict "<",
+    # exactly as the per-lambda loop compared them (NaN included).
+    best = min(range(len(scores)), key=scores.__getitem__)
+    lam = lambda_grid[best]
+    coef = vt.T @ ((s / (s * s + lam)) * uty)
+    return coef, lam, scores[best]
 
 
 class RBFNetwork:
@@ -82,7 +89,8 @@ class RBFNetwork:
         with GCV-selected ridge penalty; ``"forward"`` greedily adds units
         while GCV improves (Orr's forward-selection variant).
     lambda_grid:
-        Ridge penalties scanned by GCV.
+        Ridge penalties scanned by GCV: a non-empty sequence of finite
+        values >= 0.
     include_bias:
         Add a constant unit so the network can express the output mean
         directly.
@@ -109,12 +117,22 @@ class RBFNetwork:
             raise ModelError(f"radius_scale must be positive, got {radius_scale}")
         if min_radius <= 0:
             raise ModelError(f"min_radius must be positive, got {min_radius}")
+        lambda_grid = tuple(lambda_grid)
+        try:
+            grid = np.array(lambda_grid, dtype=float)
+        except (TypeError, ValueError):
+            grid = np.array([np.nan])
+        if (grid.ndim != 1 or grid.size == 0
+                or not np.all(np.isfinite(grid) & (grid >= 0))):
+            raise ModelError(
+                f"lambda_grid must be a non-empty sequence of finite values "
+                f">= 0, got {lambda_grid!r}")
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.radius_scale = radius_scale
         self.min_radius = min_radius
         self.solver = solver
-        self.lambda_grid = tuple(lambda_grid)
+        self.lambda_grid = lambda_grid
         self.include_bias = include_bias
         # Fitted state
         self.tree_: Optional[RegressionTree] = None
@@ -128,12 +146,7 @@ class RBFNetwork:
     # ------------------------------------------------------------------
     def fit(self, X, y) -> "RBFNetwork":
         """Fit tree, derive candidate units, solve output weights."""
-        X = as_2d_float_array(X, name="X")
-        y = np.asarray(y, dtype=float)
-        if y.ndim != 1 or y.size != X.shape[0]:
-            raise ModelError(
-                f"y must be 1-D with len(y) == X.shape[0], got {y.shape} vs {X.shape}"
-            )
+        X, y = check_fit_data(X, y)
         self.tree_ = RegressionTree(
             max_depth=self.max_depth,
             min_samples_leaf=self.min_samples_leaf,
@@ -156,14 +169,10 @@ class RBFNetwork:
 
     def _units_from_tree(self):
         """Candidate centers/radii from every tree node's bounding box."""
-        centers, radii = [], []
-        for node in self.tree_.nodes():
-            mid = (node.lower + node.upper) / 2.0
-            half = (node.upper - node.lower) / 2.0
-            rad = np.maximum(half * self.radius_scale, self.min_radius)
-            centers.append(mid)
-            radii.append(rad)
-        return np.vstack(centers), np.vstack(radii)
+        lower, upper = self.tree_.node_boxes()
+        half = (upper - lower) / 2.0
+        return ((lower + upper) / 2.0,
+                np.maximum(half * self.radius_scale, self.min_radius))
 
     def _forward_select(self, phi: np.ndarray, y: np.ndarray):
         """Greedy forward selection of columns of ``phi`` minimizing GCV."""

@@ -55,6 +55,23 @@ def test_batched_floor_gated_on_enforcement_flag(tmp_path):
                       "detailed_kernel.batched.resumed_speedup"}
 
 
+def test_model_fit_floors_never_drop_below_2x(tmp_path):
+    record = {"bench": "model_fit", "bit_identical": True,
+              "speedup": 2.6, "min_speedup": 2.0,
+              "tree_speedup": 4.8, "min_tree_speedup": 3.0}
+    _write(tmp_path, "BENCH_model_fit.json", record)
+    summary = bench_report.build_summary(tmp_path)
+    assert summary["checks_run"] == 3
+    assert summary["failures"] == 0
+
+    # A record that lowers its own floor is still held to 2x.
+    record.update(speedup=1.5, min_speedup=1.0, bit_identical=False)
+    _write(tmp_path, "BENCH_model_fit.json", record)
+    failed = {c["check"]
+              for c in bench_report.build_summary(tmp_path)["failed_checks"]}
+    assert failed == {"model_fit.speedup", "model_fit.bit_identical"}
+
+
 def test_corrupt_file_is_a_failure(tmp_path):
     (tmp_path / "BENCH_kernel.json").write_text("{not json")
     summary = bench_report.build_summary(tmp_path)

@@ -117,3 +117,26 @@ class TestValidation:
         net = RBFNetwork().fit(X, y)
         with pytest.raises(ModelError):
             net.predict(np.ones((2, 7)))
+
+    @pytest.mark.parametrize("grid", [(), [], (-1e-3,), (1e-3, -1.0),
+                                      (float("nan"),), (1.0, float("inf")),
+                                      ("a",)])
+    def test_bad_lambda_grid_rejected_at_construction(self, grid):
+        with pytest.raises(ModelError, match="lambda_grid"):
+            RBFNetwork(lambda_grid=grid)
+
+    def test_zero_lambda_accepted(self):
+        X, y = _smooth_problem(n=40, seed=9)
+        net = RBFNetwork(max_depth=3, lambda_grid=(0.0, 1e-3)).fit(X, y)
+        assert net.lambda_ in (0.0, 1e-3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        X, y = _smooth_problem(n=40, seed=10)
+        y[7] = bad
+        with pytest.raises(ModelError, match="non-finite"):
+            RBFNetwork().fit(X, y)
+
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ModelError, match="zero rows"):
+            RBFNetwork().fit(np.empty((0, 3)), np.empty(0))

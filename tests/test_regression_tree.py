@@ -70,6 +70,17 @@ class TestFitting:
         with pytest.raises(ModelError):
             RegressionTree().fit(np.ones((4, 2)), np.ones(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        X, y = _step_data()
+        y[3] = bad
+        with pytest.raises(ModelError, match="non-finite"):
+            RegressionTree().fit(X, y)
+
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ModelError, match="zero rows"):
+            RegressionTree().fit(np.empty((0, 2)), np.empty(0))
+
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
             RegressionTree().predict([[1.0]])
@@ -97,6 +108,15 @@ class TestStructure:
         for node in tree.nodes():
             if not node.is_leaf:
                 assert node.left.n_samples + node.right.n_samples == node.n_samples
+
+    def test_node_boxes_stack_node_bounds_breadth_first(self):
+        X, y = _step_data(n=100, seed=7)
+        tree = RegressionTree(max_depth=4, min_samples_leaf=3).fit(X, y)
+        lower, upper = tree.node_boxes()
+        nodes = list(tree.nodes())
+        assert lower.shape == upper.shape == (tree.n_nodes, 3) == (len(nodes), 3)
+        assert np.array_equal(lower, np.vstack([n.lower for n in nodes]))
+        assert np.array_equal(upper, np.vstack([n.upper for n in nodes]))
 
     def test_leaf_count_bounds(self):
         X, y = _step_data(n=100, seed=5)

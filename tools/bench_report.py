@@ -30,7 +30,7 @@ from pathlib import Path
 #: field.  Records without an entry are collated but not checked.
 KNOWN_BENCHES = (
     "kernel", "detailed_kernel", "detailed_backend", "shm_transport",
-    "streaming_sweep", "remote_executor", "active_dse",
+    "streaming_sweep", "remote_executor", "active_dse", "model_fit",
 )
 
 
@@ -115,6 +115,18 @@ def _check_active_dse(record, checks):
            f"budget (ceiling 50%)")
 
 
+def _check_model_fit(record, checks):
+    _check(checks, "model_fit.bit_identical",
+           record.get("bit_identical") is True,
+           "level-wise fits == per-node reference")
+    for key, floor_key, what in (("speedup", "min_speedup", "tree + RBF"),
+                                 ("tree_speedup", "min_tree_speedup", "tree")):
+        floor = max(record.get(floor_key, 2.0), 2.0)
+        value = record.get(key, 0.0)
+        _check(checks, f"model_fit.{key}", value >= floor,
+               f"{value}x {what} fit vs per-node reference (floor {floor}x)")
+
+
 _CHECKERS = {
     "kernel": _check_kernel,
     "detailed_kernel": _check_detailed_kernel,
@@ -123,6 +135,7 @@ _CHECKERS = {
     "streaming_sweep": _check_streaming_sweep,
     "remote_executor": _check_remote_executor,
     "active_dse": _check_active_dse,
+    "model_fit": _check_model_fit,
 }
 
 
