@@ -117,8 +117,12 @@ def _query_points(X):
                                  HealthCheck.data_too_large])
 def test_tree_matches_per_node_reference(case):
     X, y, params = case
-    tree = RegressionTree(**params).fit(X, y)
-    ref = ReferenceTree(**params).fit(X, y)
+    with warnings.catch_warnings():
+        # A threshold rounded onto the upper value can leave a child
+        # empty; both sides then warn on its mean the same way.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        tree = RegressionTree(**params).fit(X, y)
+        ref = ReferenceTree(**params).fit(X, y)
     assert_trees_identical(tree, ref, _query_points(X))
 
 
