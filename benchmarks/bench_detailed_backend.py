@@ -13,14 +13,14 @@ matter most.  This bench pins the two PR-3 behaviours:
   its per-interval checkpoint and produces bit-identical traces while
   re-simulating only the intervals after the snapshot.
 
-Since the compiled detailed-pipeline kernel landed, the bench also
-re-baselines the backend **per execution engine**: the same job is
-timed under the object-model interpreter and under the array kernel
-(njit-compiled when numba is present, uncompiled otherwise), with
-bit-identical traces asserted before either wall is recorded.  The
-engine-vs-engine speedup floor itself is pinned by
-``bench_detailed_kernel.py``; here the two walls are simply reported
-side by side so backend regressions are attributable to an engine.
+The bench also re-baselines the backend **per kernel container**: the
+same job is timed under the interpreted kernel (list state, the
+denominator) and under the array kernel (njit-compiled when numba is
+present, stepped uncompiled otherwise), with bit-identical traces
+asserted before either wall is recorded.  The compiled-vs-interpreted
+speedup floor itself is pinned by ``bench_detailed_kernel.py``; here
+the two walls are simply reported side by side so backend regressions
+are attributable to a container.
 
 Results land in ``BENCH_detailed_backend.json`` (CI artifact).
 """
@@ -50,34 +50,34 @@ _ENGINE_RECORD = {}    # filled by the engine side-by-side test
 
 
 def test_engines_side_by_side():
+    from repro.uarch import pipeline
     from repro.uarch.jit import jit_available
-    from repro.uarch.pipeline import OutOfOrderCore
 
     kernel_engine = "kernel" if jit_available() else "kernel-interp"
     job = SimJob("gcc", baseline_config(), backend="detailed",
                  n_samples=N_SAMPLES, instructions_per_sample=IPS)
     walls = {}
     traces = {}
-    original = OutOfOrderCore.run_interval
+    original = pipeline.jit_enabled
     for engine in ("python", kernel_engine):
-        OutOfOrderCore.run_interval = (
-            lambda self, trace, _e=engine: original(self, trace, engine=_e))
+        # New cores get list state ("python") or array state.
+        pipeline.jit_enabled = lambda _arrays=engine != "python": _arrays
         try:
             job.run()  # warm the trace memo / compile before timing
             start = time.perf_counter()
             result = job.run()
             walls[engine] = time.perf_counter() - start
         finally:
-            OutOfOrderCore.run_interval = original
+            pipeline.jit_enabled = original
         traces[engine] = {**result.traces, **result.components}
 
     for name, arr in traces["python"].items():
         assert np.array_equal(arr, traces[kernel_engine][name]), (
-            f"engines diverged on the {name} trace")
+            f"containers diverged on the {name} trace")
 
     interp, kernel = walls["python"], walls[kernel_engine]
-    print(f"\nengine walls for a {N_SAMPLES}x{IPS} detailed job: "
-          f"interpreter {interp * 1e3:.0f} ms, "
+    print(f"\nkernel walls for a {N_SAMPLES}x{IPS} detailed job: "
+          f"interpreted {interp * 1e3:.0f} ms, "
           f"{kernel_engine} {kernel * 1e3:.0f} ms "
           f"({interp / kernel:.1f}x), traces bit-identical")
     _ENGINE_RECORD.update({

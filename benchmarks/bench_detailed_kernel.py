@@ -1,26 +1,27 @@
-"""Bench: the compiled detailed-pipeline kernel vs the interpreter.
+"""Bench: the compiled detailed-pipeline kernel vs the interpreted one.
 
-Times a 64-interval detailed run through both execution engines of
-:class:`~repro.uarch.pipeline.OutOfOrderCore` — the object-model
-interpreter and the struct-of-arrays kernel — and proves bit-identity
-across {interpreter, kernel} x {fresh, checkpoint-resumed} before any
-timing is trusted.  With numba installed (CI's with-numba leg) the
-kernel is njit-compiled and must clear a **>=5x** speedup over the
-interpreter; without numba the kernel runs uncompiled and only the
-bit-identity claims are asserted (an uncompiled array kernel is scalar
-Python over numpy cells — slower than the interpreter, and never the
-auto-selected engine).
+Times a 64-interval detailed run through the one
+:func:`~repro.uarch.pipeline_kernel.step_interval` source in both of
+its containers — resident Python lists (the interpreted kernel, the
+denominator) and numpy arrays — and proves bit-identity across
+{interpreted, array} x {fresh, checkpoint-resumed} before any timing is
+trusted.  With numba installed (CI's with-numba leg) the array kernel
+is njit-compiled and must clear a **>=5x** speedup over the interpreted
+kernel; without numba the array container is stepped uncompiled and
+only the bit-identity claims are asserted (scalar Python over numpy
+cells is slower than over lists, and never what a core gets by
+default).
 
 A second leg times the **batched** stepper: a 64-config detailed group
-advanced through one :func:`~repro.uarch.pipeline_kernel
-.step_interval_batch` call per interval
-(:func:`~repro.uarch.detailed.run_detailed_group`, two prange threads)
-against the same 64 configs run job-by-job through the scalar kernel.
+advanced through one ``prange`` call per interval
+(:func:`~repro.uarch.detailed.run_detailed_group`, two threads) against
+the same 64 configs run job-by-job through the compiled kernel.
 Bit-identity is asserted member-for-member, fresh and resumed from
 identical mid-run snapshots; with numba the batched path must clear
-**>=3x** over the scalar kernel in both cases.
+**>=3x** over the per-job kernel in both cases.  Without numba a group
+runs member by member, so the leg only checks parity.
 
-All engines are measured warm — the trace memo is shared state, njit
+Every path is measured warm — the trace memo is shared state, njit
 compilation (persistent-cache or in-memory) happens on an untimed
 warm-up pass — best of two runs.  Results land in
 ``BENCH_detailed_kernel.json`` (CI artifact).
@@ -37,7 +38,7 @@ import numpy as np
 
 from repro.engine.jobs import SimJob
 from repro.uarch import detailed as detailed_module
-from repro.uarch import jit
+from repro.uarch import jit, pipeline
 from repro.uarch.detailed import DetailedSimulator, run_detailed_group
 from repro.uarch.jit import jit_available
 from repro.uarch.params import baseline_config
@@ -52,8 +53,8 @@ MIN_SPEEDUP = 5.0
 # Batched leg: shorter intervals over a wide config axis — the shape a
 # detailed DSE group actually has (many near-identical configs, one
 # workload), where per-core call overhead is the bottleneck batching
-# removes.  Without numba both paths run the same scalar interpreter
-# per row (parity is the only claim, no floor), so the leg shrinks to
+# removes.  Without numba both paths run the interpreted kernel member
+# by member (parity is the only claim, no floor), so the leg shrinks to
 # keep the numba-less CI legs fast.
 BATCH_SIZE = 64 if jit_available() else 16
 BATCH_SAMPLES = 32 if jit_available() else 16
@@ -83,31 +84,37 @@ def _digest(result) -> str:
     return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
+#: Mode labels recorded in the JSON: the interpreted kernel, and the
+#: array container (compiled where numba is installed).
+INTERPRETED = "python"
+ARRAY_MODE = "kernel" if jit_available() else "kernel-interp"
+
+
 @contextmanager
-def _forced_engine(engine):
-    original = OutOfOrderCore.run_interval
-    OutOfOrderCore.run_interval = (
-        lambda self, trace, _original=original, _engine=engine:
-            _original(self, trace, engine=_engine))
+def _mode(mode):
+    """Cores built inside get list state (``"python"``) or array state
+    (compiled where numba is installed, else stepped uncompiled)."""
+    original = pipeline.jit_enabled
+    pipeline.jit_enabled = lambda: mode != INTERPRETED
     try:
         yield
     finally:
-        OutOfOrderCore.run_interval = original
+        pipeline.jit_enabled = original
 
 
-def _run(engine, **kwargs):
-    with _forced_engine(engine):
+def _run(mode, **kwargs):
+    with _mode(mode):
         return DetailedSimulator(baseline_config()).run(
             "gcc", n_samples=N_SAMPLES, instructions_per_sample=IPS,
             **kwargs)
 
 
-def _timed_run(engine):
+def _timed_run(mode):
     best = float("inf")
     digest = None
     for _ in range(2):
         start = time.perf_counter()
-        result = _run(engine)
+        result = _run(mode)
         wall = time.perf_counter() - start
         best = min(best, wall)
         digest = _digest(result)
@@ -118,7 +125,7 @@ class _Crash(Exception):
     pass
 
 
-def _resumed_digest(engine, path):
+def _resumed_digest(mode, path):
     """Crash a checkpointing run mid-benchmark, resume it, digest it."""
     original = OutOfOrderCore.run_interval
     calls = [0]
@@ -127,20 +134,18 @@ def _resumed_digest(engine, path):
         calls[0] += 1
         if calls[0] > CRASH_AFTER:
             raise _Crash()
-        return _original(self, trace, engine=engine)
+        return _original(self, trace)
 
     OutOfOrderCore.run_interval = crashing
     try:
-        DetailedSimulator(baseline_config()).run(
-            "gcc", n_samples=N_SAMPLES, instructions_per_sample=IPS,
-            checkpoint_every=CHECKPOINT_EVERY, checkpoint_path=path)
+        _run(mode, checkpoint_every=CHECKPOINT_EVERY, checkpoint_path=path)
         raise AssertionError("crash injection never fired")
     except _Crash:
         pass
     finally:
         OutOfOrderCore.run_interval = original
     assert path.exists(), "no checkpoint written before the crash"
-    return _digest(_run(engine, checkpoint_every=CHECKPOINT_EVERY,
+    return _digest(_run(mode, checkpoint_every=CHECKPOINT_EVERY,
                         checkpoint_path=path))
 
 
@@ -151,32 +156,33 @@ def test_goldens_unchanged():
 
 
 def test_kernel_bit_identity_and_speedup(tmp_path):
-    kernel_engine = "kernel" if jit_available() else "kernel-interp"
+    kernel_engine = ARRAY_MODE
 
     # Warm the trace memo (and trigger njit compilation when numba is
     # present) before anything is timed.
-    _run("python")
+    _run(INTERPRETED)
     _run(kernel_engine)
 
-    interp_digest, interp_wall = _timed_run("python")
+    interp_digest, interp_wall = _timed_run(INTERPRETED)
     kernel_digest, kernel_wall = _timed_run(kernel_engine)
     assert kernel_digest == interp_digest, (
-        "kernel and interpreter streams diverged")
+        "array-kernel and interpreted-kernel streams diverged")
 
-    resumed_interp = _resumed_digest("python", tmp_path / "interp.ckpt.npz")
+    resumed_interp = _resumed_digest(INTERPRETED,
+                                     tmp_path / "interp.ckpt.npz")
     resumed_kernel = _resumed_digest(kernel_engine,
                                      tmp_path / "kernel.ckpt.npz")
     assert resumed_interp == interp_digest, (
-        "checkpoint-resumed interpreter run diverged from a fresh one")
+        "checkpoint-resumed interpreted run diverged from a fresh one")
     assert resumed_kernel == interp_digest, (
-        "checkpoint-resumed kernel run diverged from a fresh one")
+        "checkpoint-resumed array-kernel run diverged from a fresh one")
 
     speedup = interp_wall / kernel_wall
     compiled = jit_available()
-    print(f"\n{N_SAMPLES}x{IPS} gcc/baseline: interpreter "
+    print(f"\n{N_SAMPLES}x{IPS} gcc/baseline: interpreted kernel "
           f"{interp_wall:.3f}s, kernel[{kernel_engine}] {kernel_wall:.3f}s "
           f"({speedup:.1f}x); fresh/resumed digests identical across "
-          f"engines")
+          f"containers")
     if compiled:
         assert speedup >= MIN_SPEEDUP, (
             f"compiled kernel speedup {speedup:.2f}x below the "
@@ -241,7 +247,7 @@ def _timed(fn, reps=2):
 
 
 def test_batched_kernel_bit_identity_and_speedup(tmp_path):
-    kernel_engine = "kernel" if jit_available() else "kernel-interp"
+    jit.set_jit(True)      # compiled wherever numba is installed
     jit.set_jit_threads(BATCH_THREADS)
     try:
         jobs = _batch_jobs()
@@ -249,17 +255,16 @@ def test_batched_kernel_bit_identity_and_speedup(tmp_path):
         # Warm-up, off the measured path: trace memo, the scalar-kernel
         # njit compile, and the prange batch-loop compile all land here.
         def scalar_leg():
-            with _forced_engine(kernel_engine):
-                return [job.run() for job in jobs]
+            return [job.run() for job in jobs]
 
         scalar_digests = [_digest(r) for r in scalar_leg()]
-        warm = run_detailed_group(jobs, engine="batch")
+        warm = run_detailed_group(jobs)
         assert [_digest(r) for r in warm] == scalar_digests, (
             "batched streams diverged from per-job scalar kernel runs")
 
         scalar_results, scalar_wall = _timed(scalar_leg)
         batch_results, batch_wall = _timed(
-            lambda: run_detailed_group(jobs, engine="batch"))
+            lambda: run_detailed_group(jobs))
         assert [_digest(r) for r in scalar_results] == scalar_digests
         assert [_digest(r) for r in batch_results] == scalar_digests
 
@@ -281,30 +286,33 @@ def test_batched_kernel_bit_identity_and_speedup(tmp_path):
 
         detailed_module.synthesize_interval = crashing
         try:
-            run_detailed_group(jobs_scalar, engine="batch")
+            run_detailed_group(jobs_scalar)
             raise AssertionError("crash injection never fired")
         except _Crash:
             pass
         finally:
             detailed_module.synthesize_interval = original
+        # A batched group crashes with every member mid-stream; an
+        # interpreted one runs member by member, so only the first
+        # member has started.
         snapshots = list(dir_scalar.glob("*.ckpt.npz"))
-        assert len(snapshots) == BATCH_SIZE, (
-            "expected one mid-stream snapshot per group member")
+        assert len(snapshots) == (BATCH_SIZE if jit_available() else 1), (
+            "expected one mid-stream snapshot per started group member")
         shutil.copytree(dir_scalar, dir_batch)
 
         def scalar_resume():
-            with _forced_engine(kernel_engine):
-                return [job.run() for job in jobs_scalar]
+            return [job.run() for job in jobs_scalar]
 
         resumed_scalar, scalar_resumed_wall = _timed(scalar_resume, reps=1)
         resumed_batch, batch_resumed_wall = _timed(
-            lambda: run_detailed_group(jobs_batch, engine="batch"), reps=1)
+            lambda: run_detailed_group(jobs_batch), reps=1)
         assert [_digest(r) for r in resumed_scalar] == scalar_digests, (
             "scalar-resumed streams diverged from fresh runs")
         assert [_digest(r) for r in resumed_batch] == scalar_digests, (
             "batch-resumed streams diverged from fresh runs")
     finally:
         jit.set_jit_threads(None)
+        jit.set_jit(None)
 
     compiled = jit_available()
     speedup = scalar_wall / batch_wall

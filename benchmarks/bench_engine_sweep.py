@@ -6,8 +6,9 @@ the engine's two wins on a quick-scale sweep:
 
 * a **cache-warm re-run** (what every repeated experiment/figure run
   sees) must complete at least 5x faster than a cold sequential sweep
-  (measured against the per-job scalar path, ``REPRO_BATCH_KERNEL=0``,
-  so the baseline stays comparable across PRs; the grouped batch
+  (measured against the per-job scalar path — grouping patched to
+  singleton groups — so the baseline stays comparable across PRs; the
+  grouped batch
   kernel's own >=10x win is pinned in ``bench_kernel.py`` and reported
   here informationally);
 * the **parallel executor** must produce bit-identical datasets (its
@@ -38,14 +39,16 @@ def test_cached_rerun_5x_faster_than_cold_sequential(tmp_path, monkeypatch):
 
     # Cold sequential sweep: the seed repo's execution model — one
     # scalar simulation per (benchmark, config) pair, so the grouped
-    # batch kernel (bench_kernel.py pins its own >=10x win) is disabled
-    # for this leg to keep the baseline comparable across PRs.
+    # batch kernel (bench_kernel.py pins its own >=10x win) is replaced
+    # by singleton groups for this leg to keep the baseline comparable
+    # across PRs.
     sequential = SweepRunner(n_samples=N_SAMPLES, engine=ExecutionEngine())
-    monkeypatch.setenv("REPRO_BATCH_KERNEL", "0")
+    monkeypatch.setattr("repro.engine.kernel.plan_groups",
+                        lambda jobs: [[i] for i in range(len(jobs))])
     start = time.perf_counter()
     cold_data = _sweep(sequential)
     cold = time.perf_counter() - start
-    monkeypatch.setenv("REPRO_BATCH_KERNEL", "1")
+    monkeypatch.undo()
 
     # The same cold sweep with grouped kernel dispatch (the default).
     start = time.perf_counter()

@@ -203,15 +203,17 @@ def batch_group_run(jobs: Sequence[SimJob], start: int) -> int:
     """Length of the contiguous batched-group run at ``start``.
 
     The number of consecutive jobs from ``start`` sharing one detailed
-    group signature, when batched detailed dispatch is on — the unit
-    chunk planning must not shear (the run advances as one stacked
-    kernel call).  ``1`` whenever batching is off, the job is not
-    detailed, or it has no groupmate at ``start``.
+    group signature, when the compiled kernel is on
+    (:func:`~repro.uarch.jit.jit_enabled`) — the unit chunk planning
+    must not shear (the run advances as one stacked kernel call).
+    ``1`` when interpreted (members run one at a time anyway), when the
+    job is not detailed, or when it has no groupmate at ``start``.
     """
-    from repro.engine.kernel import detailed_batch_enabled, group_signature
+    from repro.engine.kernel import group_signature
+    from repro.uarch import jit
 
     job = jobs[start]
-    if job.backend != "detailed" or not detailed_batch_enabled():
+    if job.backend != "detailed" or not jit.jit_enabled():
         return 1
     signature = group_signature(job)
     if signature is None:
@@ -228,7 +230,7 @@ def carve_chunk(jobs: Sequence[SimJob], start: int, size: int) -> int:
     Chunks are kept backend-homogeneous — a chunk's wall time feeds a
     per-backend tuning estimate, and mixing sub-millisecond interval
     jobs with seconds-long detailed jobs in one measurement would
-    poison it.  When batched detailed dispatch is on, boundaries also
+    poison it.  When the compiled kernel is on, boundaries also
     snap to group boundaries: a contiguous run of one detailed group
     signature advances as a single stacked kernel call, so shearing it
     across chunks would defeat the batching.  The boundary rounds down
@@ -243,10 +245,10 @@ def carve_chunk(jobs: Sequence[SimJob], start: int, size: int) -> int:
             stop = j
             break
     if stop < len(jobs) and backend == "detailed":
-        from repro.engine.kernel import (detailed_batch_enabled,
-                                         group_signature)
+        from repro.engine.kernel import group_signature
+        from repro.uarch import jit
 
-        if detailed_batch_enabled():
+        if jit.jit_enabled():
             signature = group_signature(jobs[stop])
             if (signature is not None
                     and group_signature(jobs[stop - 1]) == signature):

@@ -24,50 +24,24 @@ Everything around the kernel is unchanged by design:
 * **ordering** — results align index-for-index with the submitted
   chunk, whatever the grouping.
 
-Detailed-backend jobs group too — same benchmark/workload/resolution.
-With JIT enabled the whole group advances through one stacked
-:func:`~repro.uarch.pipeline_kernel.step_interval_batch` call per
-interval (:func:`~repro.uarch.detailed.run_detailed_group`: per-core
-state gains a leading config axis, optionally ``prange``-threaded —
-see :func:`detailed_batch_enabled`); otherwise members run one by one
-through ``job.run()``, where the win is trace-memo sharing (the
-group's members synthesize identical interval traces, so one synthesis
-feeds the whole group — see :mod:`repro.workloads.generator`).
-Interval jobs with no groupmate in their chunk run through
-``job.run()`` as always.
-``REPRO_BATCH_KERNEL=0`` disables grouping entirely (the escape hatch;
-the scalar path is the same code as a batch of one, so this only
-changes speed, not bits).
+Detailed-backend jobs group too — same benchmark/workload/resolution —
+and run through :func:`~repro.uarch.detailed.run_detailed_group`.  With
+the compiled kernel the whole group advances through one stacked
+``prange`` call per interval; interpreted, members run one by one
+through ``job.run()``, where the win is trace-memo sharing (the group's
+members synthesize identical interval traces, so one synthesis feeds
+the whole group — see :mod:`repro.workloads.generator`).  Jobs with no
+groupmate in their chunk run through ``job.run()`` as always.  There
+is no off switch: a singleton group is the scalar path, so grouping
+can only change speed, never bits.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.jobs import SimJob, _canonical
 from repro.uarch.simulator import SimulationResult
-
-
-def batch_kernel_enabled() -> bool:
-    """Whether grouped kernel dispatch is on (``REPRO_BATCH_KERNEL``)."""
-    return os.environ.get("REPRO_BATCH_KERNEL", "1").strip().lower() \
-        not in ("0", "false", "off", "no")
-
-
-def detailed_batch_enabled() -> bool:
-    """Whether detailed groups run through the stacked batch stepper.
-
-    Requires grouped dispatch (``REPRO_BATCH_KERNEL``) *and* an enabled
-    JIT: without numba the batched loop calls the same scalar
-    interpreter per row, so per-job execution is just as fast and keeps
-    the historical dispatch.  Routing only changes speed, never bits —
-    :func:`repro.uarch.detailed.run_detailed_group` is pinned
-    bit-identical to ``job.run()`` by the golden digests.
-    """
-    from repro.uarch.jit import jit_enabled
-
-    return batch_kernel_enabled() and jit_enabled()
 
 
 def group_signature(job: SimJob) -> Optional[Tuple]:
@@ -80,12 +54,11 @@ def group_signature(job: SimJob) -> Optional[Tuple]:
 
     Detailed jobs group on ``("detailed", benchmark, workload,
     n_samples, instructions_per_sample)`` — a distinct shape from the
-    interval 4-tuple, so the backends never intermix.  A detailed group
-    runs its members sequentially (the cycle-level core is inherently
-    serial per config), but groupmates synthesize identical traces, so
-    running them consecutively turns the trace memo
-    (:mod:`repro.workloads.generator`) into per-group sharing: one
-    synthesis pays for the whole group.
+    interval 4-tuple, so the backends never intermix.  Groupmates
+    synthesize identical traces, so a detailed group shares one trace
+    per interval — stepped as one stacked call when compiled, or
+    member by member through the trace memo
+    (:mod:`repro.workloads.generator`) when interpreted.
     """
     workload = (job.benchmark if job.workload is None
                 else _canonical(job.workload))
@@ -116,9 +89,8 @@ def _run_interval_group(group: Sequence[SimJob]) -> List[SimulationResult]:
 
 def plan_groups(jobs: Sequence[SimJob]) -> List[List[int]]:
     """Partition job indices into kernel groups, preserving first-seen
-    order.  Ungroupable jobs (and all jobs when the batch kernel is
-    disabled) become singleton groups."""
-    if len(jobs) < 2 or not batch_kernel_enabled():
+    order.  Ungroupable jobs become singleton groups."""
+    if len(jobs) < 2:
         return [[i] for i in range(len(jobs))]
     order: List[List[int]] = []
     groups: Dict[Tuple, List[int]] = {}
@@ -142,17 +114,9 @@ def run_group(jobs: Sequence[SimJob], indices: Sequence[int],
     if len(indices) == 1:
         return [jobs[indices[0]].run()]
     if jobs[indices[0]].backend == "detailed":
-        if detailed_batch_enabled():
-            # One stacked kernel call per interval for the whole group
-            # (checkpointing, warmup and result assembly stay per-member
-            # inside run_detailed_group, bit-identical to job.run()).
-            from repro.uarch.detailed import run_detailed_group
+        from repro.uarch.detailed import run_detailed_group
 
-            return run_detailed_group([jobs[i] for i in indices])
-        # Sequential fallback: trace-memo sharing is the batching
-        # (checkpointing, JIT-vs-interpreter selection and result
-        # assembly all live inside job.run(), bit-identical).
-        return [jobs[i].run() for i in indices]
+        return run_detailed_group([jobs[i] for i in indices])
     return _run_interval_group([jobs[i] for i in indices])
 
 

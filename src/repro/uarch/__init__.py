@@ -8,7 +8,7 @@ equivalent substrate:
 ``params``
     :class:`~repro.uarch.params.MachineConfig` — the Table 1 baseline
     machine plus the 9 varied parameters of Table 2.
-``caches`` / ``branch`` / ``trace`` / ``pipeline`` / ``detailed``
+``trace`` / ``pipeline`` / ``pipeline_kernel`` / ``detailed``
     A detailed cycle-level out-of-order simulator executing synthetic
     statistical instruction traces.
 ``interval_model``

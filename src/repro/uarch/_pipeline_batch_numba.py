@@ -1,29 +1,32 @@
-"""numba-compiled twin of :func:`repro.uarch.pipeline_kernel.step_interval_batch`.
+"""The compiled ``prange`` batch stepper for detailed groups.
 
 Importing this module requires numba: it compiles the scalar
 :func:`~repro.uarch.pipeline_kernel.step_interval` into a module-level
 dispatcher and then compiles a ``prange`` loop over the config axis
-that calls it.  Both live at module scope on purpose — numba resolves
-globals of the enclosing module at compile time, which is the one
-reliable way to call one jitted function from another parallel one
-(closures over dispatchers are not).
+that calls it once per active row.  Both live at module scope on
+purpose — numba resolves globals of the enclosing module at compile
+time, which is the one reliable way to call one jitted function from
+another parallel one (closures over dispatchers are not).
+
+This is not a second pipeline: each row runs the one
+``step_interval`` source over a row slice of the stacked
+:class:`~repro.uarch.pipeline_kernel.BatchKernelState` arrays, with
+its own freshly allocated scratch.  Rows are fully independent (each
+iteration writes only row ``b`` and its own scratch, and reads the
+shared read-only trace), so the prange schedule cannot affect results:
+output is bit-identical to stepping each core alone, at any thread
+count.  There is no uncompiled twin — without numba a detailed group
+runs its members one at a time.
 
 ``step_batch`` is reached only through
 :func:`repro.uarch.pipeline_kernel.compiled_batch_step`, which treats
 any import failure here (numba absent, compilation error) as "no
-compiled batch stepper" and falls back to the plain-``range``
-interpreter twin.  The loop body below must stay line-for-line
-equivalent to that fallback: same row slicing, same ``active`` test
-(no ``continue`` — parfors dislike it), same argument order.  Rows are
-fully independent (each iteration touches only row ``b`` plus the
-shared read-only trace, and ``step_interval`` allocates its scratch
-per call, i.e. thread-locally), so the prange schedule cannot affect
-results: output is bit-identical to the serial loop at any thread
-count.
+compiled batch stepper".
 """
 
 from __future__ import annotations
 
+import numpy as np
 from numba import prange  # noqa: F401  (resolved inside the jitted loop)
 
 from repro.uarch import pipeline_kernel as _pk
@@ -56,6 +59,7 @@ def _batch_loop(t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace,
                 rob_local, rob_op, rob_ace, rob_ismem, rob_issued,
                 rob_ready, rob_misp, iq_slots, miss_until,
                 sc, fc, out_counters, out_ace, out_ints):
+    n = t_op.shape[0]
     for b in prange(active.shape[0]):
         if active[b] == 1:
             _step(
@@ -83,6 +87,8 @@ def _batch_loop(t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace,
                 rob_misp[b, :lens[b, LEN_ROB]],
                 iq_slots[b, :lens[b, LEN_IQ]],
                 miss_until[b, :lens[b, LEN_MISS]],
+                np.zeros(n, np.int64), np.zeros(n, np.uint8),
+                np.zeros(5, np.int64),
                 sc[b], fc[b], out_counters[b], out_ace[b], out_ints[b])
 
 

@@ -42,11 +42,12 @@ from repro.workloads.spec2000 import get_benchmark
 
 #: Bump when checkpoint contents change incompatibly: old snapshots are
 #: then ignored (and deleted) instead of mis-resumed.  v2 replaced the
-#: pickled core blob with the engine-independent array snapshot
+#: pickled core blob with the container-independent array snapshot
 #: (:meth:`repro.uarch.pipeline.OutOfOrderCore.snapshot_state`) stored
-#: as plain ``state_*`` arrays — no pickling on either side, and either
-#: execution engine can resume it.  v1 files fail the meta digest (the
-#: version participates) and are deleted, never mis-resumed.
+#: as plain ``state_*`` arrays — no pickling on either side, and a
+#: compiled or an interpreted core can resume it.  v1 files fail the
+#: meta digest (the version participates) and are deleted, never
+#: mis-resumed.
 CHECKPOINT_VERSION = "ckpt/v2"
 
 #: Trace arrays a snapshot carries, in a fixed order.
@@ -244,6 +245,104 @@ def sweep_checkpoints(directory: Union[str, Path],
     return removed, reclaimed
 
 
+class _Member:
+    """One detailed run in progress: its core, its partly filled traces
+    and its checkpoint bookkeeping.
+
+    The single driver behind :meth:`DetailedSimulator.run` and
+    :func:`run_detailed_group`, so resume, warmup, per-interval
+    post-processing and checkpoint saves cannot differ between them.
+    Construction resumes from a matching snapshot at
+    ``checkpoint_path`` when there is one (``start`` > 0) and builds a
+    cold core otherwise.
+    """
+
+    def __init__(self, workload: WorkloadModel, config: MachineConfig,
+                 dvm_controller: Optional[DVMController], n_samples: int,
+                 instructions_per_sample: int, warmup: bool,
+                 checkpoint_every: Optional[int], checkpoint_path):
+        from repro.uarch.pipeline import OutOfOrderCore
+
+        self.workload = workload
+        self.config = config
+        self.n_samples = n_samples
+        self.instructions_per_sample = instructions_per_sample
+        self.warmup = warmup
+        self.every = 0
+        self.path = self.meta = None
+        if (checkpoint_path is not None and checkpoint_every is not None
+                and checkpoint_every > 0):
+            self.every = checkpoint_every
+            self.path = Path(checkpoint_path)
+            self.meta = _checkpoint_meta(workload, config, n_samples,
+                                         instructions_per_sample, warmup,
+                                         dvm_controller)
+        resumed = None
+        if self.path is not None:
+            resumed = _load_checkpoint(self.path, self.meta, n_samples,
+                                       config, dvm_controller)
+        if resumed is not None:
+            self.core, self.traces, self.start = resumed
+        else:
+            self.core = OutOfOrderCore(config, dvm=dvm_controller)
+            self.traces = [np.empty(n_samples) for _ in _TRACE_FIELDS]
+            self.start = 0
+        self.power_model = WattchModel(config)
+        self.avf_model = AVFModel(config)
+
+    def warm_trace(self):
+        """The unmeasured warmup interval, or ``None`` when this run
+        skips warmup (disabled, or resumed from an already-warm core)."""
+        if not self.warmup or self.start > 0:
+            return None
+        return synthesize_interval(self.workload, 0, self.n_samples,
+                                   self.instructions_per_sample, seed=1)
+
+    def trace(self, i: int):
+        """Measured interval ``i``'s instruction trace."""
+        return synthesize_interval(self.workload, i, self.n_samples,
+                                   self.instructions_per_sample)
+
+    def record(self, i: int, stats) -> None:
+        """Fold interval ``i``'s statistics into the traces, then
+        snapshot when a checkpoint falls due."""
+        cpi, power, avf, iq_avf, mispredicts, throttled = self.traces
+        cpi[i] = stats.cpi
+        power[i] = self.power_model.power_from_counters(stats.counters,
+                                                        stats.cycles)
+        structure_avf = self.avf_model.avf_from_counters(stats.ace_bit_cycles,
+                                                         stats.cycles)
+        avf[i] = structure_avf["processor"]
+        iq_avf[i] = structure_avf["iq"]
+        mispredicts[i] = stats.branch_mispredicts / stats.instructions
+        throttled[i] = stats.dvm_throttled_cycles / stats.cycles
+        if (self.every and (i + 1) % self.every == 0
+                and i + 1 < self.n_samples):
+            _save_checkpoint(self.path, self.meta, i + 1, self.core,
+                             self.traces)
+
+    def finish(self):
+        """Drop the now-stale snapshot and assemble the result."""
+        from repro.uarch.simulator import SimulationResult
+
+        if self.path is not None:
+            try:
+                self.path.unlink()  # the run completed; snapshot stale
+            except OSError:
+                pass
+        cpi, power, avf, iq_avf, mispredicts, throttled = self.traces
+        return SimulationResult(
+            benchmark=self.workload.name,
+            config=self.config,
+            n_samples=self.n_samples,
+            backend="detailed",
+            traces={"cpi": cpi, "power": power, "avf": avf,
+                    "iq_avf": iq_avf},
+            components={"mispredict_rate": mispredicts,
+                        "dvm_throttled_frac": throttled},
+        )
+
+
 class DetailedSimulator:
     """Cycle-level simulation of one machine configuration.
 
@@ -286,230 +385,95 @@ class DetailedSimulator:
         Returns a :class:`~repro.uarch.simulator.SimulationResult`
         (imported lazily to avoid a module cycle).
         """
-        from repro.uarch.pipeline import OutOfOrderCore
-        from repro.uarch.simulator import SimulationResult
-
         if isinstance(workload, str):
             workload = get_benchmark(workload)
         if n_samples < 1 or instructions_per_sample < 1:
             raise SimulationError(
                 "n_samples and instructions_per_sample must be >= 1"
             )
-        checkpointing = (checkpoint_path is not None
-                         and checkpoint_every is not None
-                         and checkpoint_every > 0)
-        if checkpointing:
-            checkpoint_path = Path(checkpoint_path)
-            meta = _checkpoint_meta(workload, self.config, n_samples,
-                                    instructions_per_sample, warmup,
-                                    self.dvm_controller)
-
-        start_interval = 0
-        core = None
-        if checkpointing:
-            resumed = _load_checkpoint(checkpoint_path, meta, n_samples,
-                                       self.config, self.dvm_controller)
-            if resumed is not None:
-                core, traces, start_interval = resumed
-                (cpi, power, avf, iq_avf, mispredicts, throttled) = traces
-        if core is None:
-            core = OutOfOrderCore(self.config, dvm=self.dvm_controller)
-            if warmup:
-                core.run_interval(
-                    synthesize_interval(workload, 0, n_samples,
-                                        instructions_per_sample, seed=1)
-                )
-            cpi = np.empty(n_samples)
-            power = np.empty(n_samples)
-            avf = np.empty(n_samples)
-            iq_avf = np.empty(n_samples)
-            mispredicts = np.empty(n_samples)
-            throttled = np.empty(n_samples)
-
-        power_model = WattchModel(self.config)
-        avf_model = AVFModel(self.config)
-
-        for i in range(start_interval, n_samples):
-            trace = synthesize_interval(workload, i, n_samples,
-                                        instructions_per_sample)
-            stats = core.run_interval(trace)
-            cpi[i] = stats.cpi
-            power[i] = power_model.power_from_counters(stats.counters,
-                                                       stats.cycles)
-            structure_avf = avf_model.avf_from_counters(stats.ace_bit_cycles,
-                                                        stats.cycles)
-            avf[i] = structure_avf["processor"]
-            iq_avf[i] = structure_avf["iq"]
-            mispredicts[i] = stats.branch_mispredicts / stats.instructions
-            throttled[i] = stats.dvm_throttled_cycles / stats.cycles
-            if (checkpointing and (i + 1) % checkpoint_every == 0
-                    and i + 1 < n_samples):
-                _save_checkpoint(checkpoint_path, meta, i + 1, core,
-                                 (cpi, power, avf, iq_avf, mispredicts,
-                                  throttled))
-
-        if checkpointing:
-            try:
-                checkpoint_path.unlink()  # the run completed; snapshot stale
-            except OSError:
-                pass
-
-        return SimulationResult(
-            benchmark=workload.name,
-            config=self.config,
-            n_samples=n_samples,
-            backend="detailed",
-            traces={"cpi": cpi, "power": power, "avf": avf,
-                    "iq_avf": iq_avf},
-            components={"mispredict_rate": mispredicts,
-                        "dvm_throttled_frac": throttled},
-        )
+        member = _Member(workload, self.config, self.dvm_controller,
+                         n_samples, instructions_per_sample, warmup,
+                         checkpoint_every, checkpoint_path)
+        warm = member.warm_trace()
+        if warm is not None:
+            member.core.run_interval(warm)
+        for i in range(member.start, n_samples):
+            member.record(i, member.core.run_interval(member.trace(i)))
+        return member.finish()
 
 
-def run_detailed_group(jobs, engine: Optional[str] = None):
-    """Run a group of detailed jobs sharing one workload signature as
-    one batched interval stream.
+def run_detailed_group(jobs):
+    """Run detailed jobs sharing one group signature; results align
+    with ``jobs`` and are bit-identical to ``[job.run() for job in
+    jobs]``.
 
-    The batched twin of ``[job.run() for job in jobs]``: every member's
-    core state is stacked into one
-    :class:`~repro.uarch.pipeline_kernel.BatchKernelState` and each
-    interval advances the whole group through a single
-    :func:`~repro.uarch.pipeline_kernel.step_interval_batch` call
-    against the group's one synthesized trace.  Everything *around* the
-    kernel stays per-member and exactly mirrors
-    :meth:`DetailedSimulator.run`: checkpoint resolution/resume/save
-    uses each job's own settings and content-hash path in the unchanged
-    ``ckpt/v2`` format (a member's :class:`KernelState` arrays are
-    views into the stacked batch, so its per-core snapshot slices out
-    unchanged), warmup runs only for members starting fresh (resumed
-    members sit out via the ``active`` mask — ragged groups are the
-    normal case after a partial crash), and power / AVF / mispredict
-    post-processing calls the exact scalar model code per member.
+    Members must have equal
+    :func:`~repro.engine.kernel.group_signature` (same benchmark,
+    attached workload, ``n_samples`` and ``instructions_per_sample``),
+    else :class:`~repro.errors.SimulationError`: the group synthesizes
+    one trace per interval for all of them.
 
-    ``engine`` selects the stepper: ``None``/``"auto"`` and ``"batch"``
-    use the compiled ``prange`` kernel when numba is importable (plain
-    loop otherwise); ``"batch-interp"`` forces the plain loop (the
-    parity-test configuration); ``"per-job"`` bypasses batching
-    entirely.  All engines are bit-identical.  Results align with
-    ``jobs``.
+    With the compiled kernel (:func:`~repro.uarch.jit.jit_enabled`) the
+    members' states are stacked into one
+    :class:`~repro.uarch.pipeline_kernel.BatchKernelState` and every
+    interval advances the whole group in one ``prange`` call.  Around
+    that call each member keeps its own :class:`_Member` driver — the
+    one :meth:`DetailedSimulator.run` uses — so checkpoints stay
+    per-member ``ckpt/v2`` files under each job's own settings,
+    warmup runs only for members starting fresh, and members resuming
+    from different snapshots sit out earlier intervals through the
+    ``active`` mask.  Interpreted, members run one at a time through
+    ``job.run()``: list-backed state for a whole group at once would
+    only add memory.
     """
-    from repro.uarch.pipeline import COUNTER_KEYS, OutOfOrderCore
-    from repro.uarch.pipeline_kernel import (
-        ACE_IQ, ACE_LSQ, ACE_REGFILE, ACE_ROB, OI_MISPREDICTS, OI_THROTTLED,
-        BatchKernelState, run_interval_on_batch)
-    from repro.uarch.simulator import SimulationResult
+    from repro.engine.kernel import group_signature
+    from repro.uarch.jit import jit_enabled
+    from repro.uarch.pipeline_kernel import (BatchKernelState,
+                                             compiled_batch_step,
+                                             run_interval_on_batch)
 
     jobs = list(jobs)
-    if engine in (None, "auto"):
-        engine = "batch"
-    if engine == "per-job":
-        return [job.run() for job in jobs]
-    if engine not in ("batch", "batch-interp"):
-        raise SimulationError(
-            f"unknown detailed group engine {engine!r}; choose from "
-            f"(None, 'auto', 'batch', 'batch-interp', 'per-job')"
-        )
-    compiled = engine == "batch"
     if not jobs:
         return []
-
     lead = jobs[0]
-    n_samples = lead.n_samples
-    ips = lead.instructions_per_sample
-    for job in jobs:
-        if (job.backend != "detailed" or job.benchmark != lead.benchmark
-                or job.n_samples != n_samples
-                or job.instructions_per_sample != ips):
-            raise SimulationError(
-                "detailed group members must share benchmark, n_samples "
-                "and instructions_per_sample"
-            )
+    signature = group_signature(lead)
+    if signature is None or signature[0] != "detailed" or any(
+            group_signature(job) != signature for job in jobs):
+        raise SimulationError(
+            "detailed group members must share benchmark, workload, "
+            "n_samples and instructions_per_sample"
+        )
+    if not (jit_enabled() and compiled_batch_step()):
+        return [job.run() for job in jobs]
+
     workload = (lead.workload if lead.workload is not None
                 else get_benchmark(lead.benchmark))
-
+    n_samples = lead.n_samples
     members = []
     for job in jobs:
-        dvm = DetailedSimulator(job.config).dvm_controller
         every, directory = resolve_checkpoint_settings(
             job.checkpoint_every, job.checkpoint_dir)
-        path = meta = None
-        if every:
-            path = Path(directory) / f"{job.key()}.ckpt.npz"
-            meta = _checkpoint_meta(workload, job.config, n_samples, ips,
-                                    True, dvm)
-        core = None
-        start = 0
-        if path is not None:
-            resumed = _load_checkpoint(path, meta, n_samples, job.config, dvm)
-            if resumed is not None:
-                core, traces, start = resumed
-        if core is None:
-            core = OutOfOrderCore(job.config, dvm=dvm)
-            traces = [np.empty(n_samples) for _ in _TRACE_FIELDS]
-        members.append({
-            "job": job, "core": core, "traces": traces, "start": start,
-            "every": every, "path": path, "meta": meta,
-            "power": WattchModel(job.config), "avf": AVFModel(job.config),
-        })
-
-    cores = [member["core"] for member in members]
-    batch = BatchKernelState([core._enter_kernel_mode() for core in cores])
+        path = Path(directory) / f"{job.key()}.ckpt.npz" if every else None
+        members.append(_Member(
+            workload, job.config, DetailedSimulator(job.config).dvm_controller,
+            n_samples, lead.instructions_per_sample, True, every, path))
+    cores = [member.core for member in members]
+    batch = BatchKernelState([core.state for core in cores])
 
     # Unmeasured warmup interval — fresh members only (resumed cores
     # already warmed before their snapshot was taken).
-    fresh = np.array([1 if member["start"] == 0 else 0
-                      for member in members], dtype=np.uint8)
+    fresh = np.array([member.start == 0 for member in members],
+                     dtype=np.uint8)
     if fresh.any():
-        warm = synthesize_interval(workload, 0, n_samples, ips, seed=1)
-        run_interval_on_batch(cores, batch, warm, fresh, compiled=compiled)
+        warm = next(m for m in members if m.start == 0).warm_trace()
+        run_interval_on_batch(cores, batch, warm, fresh)
 
-    first = min(member["start"] for member in members)
-    for i in range(first, n_samples):
-        trace = synthesize_interval(workload, i, n_samples, ips)
-        active = np.array([1 if member["start"] <= i else 0
-                           for member in members], dtype=np.uint8)
-        out_counters, out_ace, out_ints, cycles = run_interval_on_batch(
-            cores, batch, trace, active, compiled=compiled)
-        n_instr = len(trace)
-        for b, member in enumerate(members):
-            if not active[b]:
-                continue
-            counters = {key: float(out_counters[b, index])
-                        for index, key in enumerate(COUNTER_KEYS)}
-            ace = {"iq": float(out_ace[b, ACE_IQ]),
-                   "rob": float(out_ace[b, ACE_ROB]),
-                   "lsq": float(out_ace[b, ACE_LSQ]),
-                   "regfile": float(out_ace[b, ACE_REGFILE])}
-            n_cycles = int(cycles[b])
-            cpi, power, avf, iq_avf, mispredicts, throttled = member["traces"]
-            cpi[i] = n_cycles / n_instr
-            power[i] = member["power"].power_from_counters(counters, n_cycles)
-            structure_avf = member["avf"].avf_from_counters(ace, n_cycles)
-            avf[i] = structure_avf["processor"]
-            iq_avf[i] = structure_avf["iq"]
-            mispredicts[i] = int(out_ints[b, OI_MISPREDICTS]) / n_instr
-            throttled[i] = int(out_ints[b, OI_THROTTLED]) / n_cycles
-            if (member["every"] and (i + 1) % member["every"] == 0
-                    and i + 1 < n_samples):
-                _save_checkpoint(member["path"], member["meta"], i + 1,
-                                 member["core"], tuple(member["traces"]))
-
-    results = []
-    for member in members:
-        if member["path"] is not None:
-            try:
-                member["path"].unlink()  # the run completed; snapshot stale
-            except OSError:
-                pass
-        cpi, power, avf, iq_avf, mispredicts, throttled = member["traces"]
-        results.append(SimulationResult(
-            benchmark=workload.name,
-            config=member["job"].config,
-            n_samples=n_samples,
-            backend="detailed",
-            traces={"cpi": cpi, "power": power, "avf": avf,
-                    "iq_avf": iq_avf},
-            components={"mispredict_rate": mispredicts,
-                        "dvm_throttled_frac": throttled},
-        ))
-    return results
+    for i in range(min(member.start for member in members), n_samples):
+        active = np.array([member.start <= i for member in members],
+                          dtype=np.uint8)
+        stats = run_interval_on_batch(cores, batch, members[0].trace(i),
+                                      active)
+        for member, member_stats in zip(members, stats):
+            if member_stats is not None:
+                member.record(i, member_stats)
+    return [member.finish() for member in members]

@@ -1,46 +1,99 @@
-"""Struct-of-arrays kernel for the detailed out-of-order pipeline.
+"""The detailed out-of-order pipeline: one kernel source, two containers.
 
-The array-backed twin of the interpreter in
-:mod:`repro.uarch.pipeline`: all microarchitectural state lives in
-preallocated numpy arrays —
+All microarchitectural state lives in flat, preallocated containers —
 
-* circular ROB (parallel ``rob_*`` arrays indexed by slot) and an
+* circular ROB (parallel ``rob_*`` sequences indexed by slot) and an
   order-preserving issue-queue slot list compacted in place;
 * set-associative caches / BTB / TLBs as flat ``tags`` + ``stamps``
-  arrays (monotonic LRU stamps: the min-stamp way is the LRU victim,
-  exactly the OrderedDict ``popitem(last=False)`` choice);
-* the gshare counter table as an int8 array;
-* per-interval producer completion times in a local array (every
-  instruction of an interval commits before the next interval starts,
-  so cross-interval producers are complete by construction);
-* outstanding L2 misses in a bounded array (an outstanding miss pins
+  sequences (monotonic LRU stamps: the min-stamp way is the LRU
+  victim, and a miss fills the first empty way, so sets never develop
+  holes);
+* the gshare counter table;
+* per-interval producer completion times in caller-supplied scratch
+  (every instruction of an interval commits before the next interval
+  starts, so cross-interval producers are complete by construction);
+* outstanding L2 misses in a bounded buffer (an outstanding miss pins
   its load in the LSQ, so occupancy is bounded by ``lsq_size``);
 
 — so :func:`step_interval` advances one whole interval in a single
-call.  The function body is deliberately plain scalar code over these
-arrays: it runs unmodified under CPython (the parity-test
-configuration) and compiles with ``numba.njit`` via
-:func:`repro.uarch.jit.compile_njit` (no ``fastmath``, strict IEEE
-ordering), producing bit-identical cycle / counter / ACE / mispredict /
-throttle streams in all three modes.  Golden digests are pinned in
-``tests/test_detailed_kernel.py``.
+call.  Its body is plain scalar code that only indexes its arguments
+and takes their ``len()``, so the same source runs over either
+container:
 
-:class:`KernelState` owns the persistent arrays and converts to/from
-the canonical snapshot format of
+* **compiled** — numpy arrays, ``numba.njit`` via
+  :func:`repro.uarch.jit.compile_njit` (no ``fastmath``, strict IEEE
+  ordering); a detailed group stacks its members' arrays in
+  :class:`BatchKernelState` and steps them through one ``prange`` call
+  (:mod:`repro.uarch._pipeline_batch_numba`);
+* **interpreted** — plain Python lists under CPython, held resident
+  in :class:`KernelState` between intervals (list indexing is what
+  keeps uncompiled stepping cheap; numpy scalar indexing is not).
+
+Which container a core uses follows :func:`repro.uarch.jit.jit_enabled`
+when its state is built; the two produce bit-identical cycle / counter
+/ ACE / mispredict / throttle streams (golden digests pinned in
+``tests/test_detailed_kernel.py``).  :class:`KernelState` converts
+to/from the canonical snapshot format of
 :meth:`repro.uarch.pipeline.OutOfOrderCore.snapshot_state` (per-set way
-tags in LRU order), which is also checkpoint format v2.
+tags in LRU order), which is also checkpoint format v2 — and the only
+way a core moves between the two containers.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from dataclasses import dataclass, field
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro._validation import is_power_of_two
+from repro.errors import ConfigurationError, SimulationError
 from repro.reliability.avf import STRUCTURE_BITS
 from repro.uarch.jit import compile_njit
 from repro.uarch.params import MachineConfig
+
+#: Safety valve: abort an interval that exceeds this many cycles per
+#: instruction (indicates a deadlocked model, which is a bug).
+MAX_CPI = 400
+
+#: Wattch counter names, in the order the counters dict is assembled.
+COUNTER_KEYS = ("fetch_il1", "rename", "issue_queue", "rob", "regfile",
+                "alu_int", "alu_fp", "lsq", "dl1", "l2", "instructions")
+
+#: Scalar integer state captured by
+#: :meth:`repro.uarch.pipeline.OutOfOrderCore.snapshot_state`.
+SNAPSHOT_INT_FIELDS = (
+    "global_index", "cycle",
+    "il1_hits", "il1_misses", "dl1_hits", "dl1_misses",
+    "l2_hits", "l2_misses", "itlb_hits", "itlb_misses",
+    "dtlb_hits", "dtlb_misses", "btb_hits", "btb_misses",
+    "gshare_history", "gshare_lookups", "gshare_mispredicts",
+    "dvm_window_cycles", "last_waiting", "last_ready",
+    "dvm_trigger_count", "dvm_sample_count", "has_dvm",
+)
+
+#: Scalar float state captured by
+#: :meth:`repro.uarch.pipeline.OutOfOrderCore.snapshot_state`.
+SNAPSHOT_FLOAT_FIELDS = ("dvm_window_ace", "wq_ratio")
+
+
+@dataclass
+class IntervalStats:
+    """Raw statistics for one simulated trace interval."""
+
+    instructions: int = 0
+    cycles: int = 0
+    counters: Dict[str, float] = field(default_factory=dict)
+    ace_bit_cycles: Dict[str, float] = field(default_factory=dict)
+    branch_mispredicts: int = 0
+    dvm_throttled_cycles: int = 0
+
+    @property
+    def cpi(self) -> float:
+        """Cycles per committed instruction."""
+        if self.instructions == 0:
+            raise SimulationError("interval committed no instructions")
+        return self.cycles / self.instructions
 
 # ----------------------------------------------------------------------
 # Packed-argument layouts (module-level ints are compile-time constants
@@ -120,6 +173,21 @@ SC_DVM_TRIGGERS = 25
 SC_DVM_SAMPLES = 26
 N_SC = 27
 
+#: ``sc`` slots that :class:`KernelState` loads from and exports to the
+#: snapshot's ``ints`` vector (the structure hit/miss totals and the
+#: gshare history; the core object owns the rest of ``ints``).
+_SC_SNAPSHOT_FIELDS = (
+    (SC_IL1_HITS, "il1_hits"), (SC_IL1_MISSES, "il1_misses"),
+    (SC_DL1_HITS, "dl1_hits"), (SC_DL1_MISSES, "dl1_misses"),
+    (SC_L2_HITS, "l2_hits"), (SC_L2_MISSES, "l2_misses"),
+    (SC_ITLB_HITS, "itlb_hits"), (SC_ITLB_MISSES, "itlb_misses"),
+    (SC_DTLB_HITS, "dtlb_hits"), (SC_DTLB_MISSES, "dtlb_misses"),
+    (SC_BTB_HITS, "btb_hits"), (SC_BTB_MISSES, "btb_misses"),
+    (SC_GSHARE_HISTORY, "gshare_history"),
+    (SC_GSHARE_LOOKUPS, "gshare_lookups"),
+    (SC_GSHARE_MISPREDICTS, "gshare_mispredicts"),
+)
+
 # fc: float64 mutable scalar state.
 FC_DVM_WINDOW_ACE = 0
 FC_WQ_RATIO = 1
@@ -128,10 +196,10 @@ N_FC = 2
 # out_ints layout.
 OI_MISPREDICTS = 0
 OI_THROTTLED = 1
-OI_STATUS = 2          # 0 = ok, 1 = deadlock (> MAX_CPI cycles)
+OI_STATUS = 2          # 0 = ok, 1 = deadlock (> MAX_CPI cycles/inst)
 N_OI = 3
 
-# out_counters layout — must match pipeline.COUNTER_KEYS order.
+# out_counters layout — must match COUNTER_KEYS order.
 CTR_FETCH_IL1 = 0
 CTR_RENAME = 1
 CTR_ISSUE_QUEUE = 2
@@ -152,7 +220,7 @@ ACE_LSQ = 2
 ACE_REGFILE = 3
 N_ACE = 4
 
-#: TLB page shift (4 KB pages, matching :class:`repro.uarch.caches.TLB`).
+#: TLB page shift (4 KB pages).
 _PAGE_SHIFT = 12
 
 
@@ -164,18 +232,23 @@ def step_interval(t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace,
                   gshare_counters,
                   rob_local, rob_op, rob_ace, rob_ismem, rob_issued,
                   rob_ready, rob_misp, iq_slots, miss_until,
+                  comp_cycle, comp_issued, fu_free,
                   sc, fc, out_counters, out_ace, out_ints):
-    """Advance one interval over the array state; the njit-able body.
+    """Advance one interval over the state containers; the njit-able body.
 
-    Mirrors ``OutOfOrderCore._run_interval_python`` statement for
-    statement (same per-cycle phase order, same arithmetic expression
-    order), so the emitted statistic streams are bit-identical.  The
-    five inlined tags/stamps blocks implement true-LRU set lookup:
-    min-stamp eviction picks the same victim an oldest-first
-    OrderedDict pop does, and sets never develop holes (a miss fills
-    either the first empty way or the evicted way).
+    Every argument is indexed and measured with ``len()`` only, so the
+    body runs unchanged over numpy arrays (compiled) and Python lists
+    (interpreted).  Each cycle runs commit, issue, dispatch, fetch, AVF
+    residency and DVM sampling, in that order.  The five inlined
+    tags/stamps blocks implement true-LRU set lookup: a hit refreshes
+    the way's stamp, a miss fills the first empty way or else evicts
+    the min-stamp (least recently used) way.
+
+    ``comp_cycle`` / ``comp_issued`` (at least ``len(t_op)`` zeros) and
+    ``fu_free`` (5 slots) are per-call scratch supplied by the caller in
+    the state's own container type.
     """
-    n = t_op.shape[0]
+    n = len(t_op)
 
     fetch_width = cfg_i[CFG_FETCH_WIDTH]
     rob_size = cfg_i[CFG_ROB_SIZE]
@@ -222,8 +295,8 @@ def step_interval(t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace,
     btb_stamp = sc[SC_BTB_STAMP]
     itlb_stamp = sc[SC_ITLB_STAMP]
     dtlb_stamp = sc[SC_DTLB_STAMP]
-    itlb_entries = itlb_pages.shape[0]
-    dtlb_entries = dtlb_pages.shape[0]
+    itlb_entries = len(itlb_pages)
+    dtlb_entries = len(dtlb_pages)
     history = sc[SC_GSHARE_HISTORY]
 
     c_fetch_il1 = 0.0
@@ -241,11 +314,6 @@ def step_interval(t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace,
     a_rob = 0.0
     a_lsq = 0.0
     a_regfile = 0.0
-
-    # Per-interval producer completion times (local trace indices).
-    comp_cycle = np.zeros(n, np.int64)
-    comp_issued = np.zeros(n, np.uint8)
-    fu_free = np.zeros(5, np.int64)
 
     rob_head = 0
     rob_count = 0
@@ -292,7 +360,7 @@ def step_interval(t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace,
             if rob_head == rob_size:
                 rob_head = 0
             rob_count -= 1
-            ace = int(rob_ace[slot])
+            ace = rob_ace[slot]
             rob_ace_total -= ace
             if rob_ismem[slot] == 1:
                 lsq_count -= 1
@@ -554,9 +622,9 @@ def step_interval(t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace,
                 latency += 1     # stores retire from the LSQ post-commit
             elif op == 4:        # BRANCH
                 pc = t_pc[li]
-                taken = int(t_taken[li])
+                taken = t_taken[li]
                 idx = ((pc >> 2) ^ history) & gshare_mask
-                counter = int(gshare_counters[idx])
+                counter = gshare_counters[idx]
                 prediction = counter >= 2
                 if taken == 1 and counter < 3:
                     gshare_counters[idx] = counter + 1
@@ -606,7 +674,7 @@ def step_interval(t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace,
             comp_issued[li] = 1
             comp_cycle[li] = cycle + latency
             issued += 1
-            iq_ace -= int(rob_ace[slot])
+            iq_ace -= rob_ace[slot]
             c_issue_queue += 1.0
             c_regfile += 2.0
             if op == 0 or op == 4:
@@ -644,7 +712,7 @@ def step_interval(t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace,
                 slot = rob_head + rob_count
                 if slot >= rob_size:
                     slot -= rob_size
-                ace = int(t_ace[local])
+                ace = t_ace[local]
                 rob_local[slot] = local
                 rob_op[slot] = op
                 rob_ace[slot] = ace
@@ -843,21 +911,62 @@ def compiled_step():
     return compile_njit(step_interval)
 
 
-def _cache_geometry(size_kb: int, assoc: int, line_bytes: int):
-    """``(n_sets, set_mask, line_shift)`` — must mirror
-    :class:`repro.uarch.caches.SetAssociativeCache` exactly."""
-    n_sets = size_kb * 1024 // line_bytes // assoc
+def _cache_geometry(name: str, size_kb: int, assoc: int, line_bytes: int):
+    """``(n_sets, set_mask, line_shift)`` of a true-LRU cache, rejecting
+    geometries the kernel's set-index mask cannot address."""
+    if size_kb <= 0 or assoc <= 0 or line_bytes <= 0:
+        raise ConfigurationError(f"{name}: size/assoc/line must be positive")
+    total_lines = size_kb * 1024 // line_bytes
+    if total_lines < assoc:
+        raise ConfigurationError(
+            f"{name}: capacity {size_kb}KB too small for "
+            f"{assoc}-way associativity at {line_bytes}B lines"
+        )
+    n_sets = total_lines // assoc
+    if not is_power_of_two(n_sets):
+        raise ConfigurationError(
+            f"{name}: set count {n_sets} is not a power of two")
     return n_sets, n_sets - 1, line_bytes.bit_length() - 1
 
 
+def _check_front_end(config: MachineConfig) -> None:
+    """Reject predictor / BTB / TLB sizes the kernel cannot index."""
+    entries = config.branch_predictor_entries
+    if entries <= 0 or (entries & (entries - 1)):
+        raise ConfigurationError(
+            f"gshare entries must be a positive power of two, got {entries}")
+    if not 0 < config.branch_history_bits <= 20:
+        raise ConfigurationError(
+            f"history_bits must be in (0, 20], got "
+            f"{config.branch_history_bits}")
+    if config.btb_entries <= 0 or config.btb_entries % config.btb_assoc:
+        raise ConfigurationError(
+            f"BTB entries ({config.btb_entries}) must be a positive "
+            f"multiple of assoc ({config.btb_assoc})")
+    for name, tlb_entries in (("itlb", config.itlb_entries),
+                              ("dtlb", config.dtlb_entries)):
+        if tlb_entries <= 0:
+            raise ConfigurationError(f"{name}: entries must be positive")
+
+
+def _snapshot_table(snapshot, key: str, shape) -> np.ndarray:
+    """``snapshot[key]`` as int64, checked against this core's geometry."""
+    table = np.asarray(snapshot[key], dtype=np.int64)
+    if table.shape != shape:
+        raise SimulationError(
+            f"snapshot {key} shape {table.shape} does not match the "
+            f"configuration {shape}")
+    return table
+
+
 def _fill_from_lru(table: np.ndarray, tags: np.ndarray,
-                   stamps: np.ndarray, assoc: int, next_stamp: int) -> int:
+                   stamps: np.ndarray, assoc: int) -> int:
     """Load canonical LRU rows into tag/stamp arrays; returns the next
     free stamp.  Oldest entries get the smallest stamps, preserving the
     per-set recency order; all future stamps sort after all loaded
     ones."""
-    n_sets = table.shape[0]
-    for index in range(n_sets):
+    next_stamp = 0
+    for index in range(table.shape[0]):
         base = index * assoc
         for way in range(assoc):
             tag = int(table[index, way])
@@ -869,9 +978,8 @@ def _fill_from_lru(table: np.ndarray, tags: np.ndarray,
     return next_stamp
 
 
-def _lru_rows(tags: np.ndarray, stamps: np.ndarray, n_sets: int,
-              assoc: int) -> np.ndarray:
-    """Canonical LRU table (oldest-first rows) from tag/stamp arrays."""
+def _lru_rows(tags, stamps, n_sets: int, assoc: int) -> np.ndarray:
+    """Canonical LRU table (oldest-first rows) from tag/stamp sequences."""
     table = np.full((n_sets, assoc), -1, dtype=np.int64)
     for index in range(n_sets):
         base = index * assoc
@@ -884,99 +992,111 @@ def _lru_rows(tags: np.ndarray, stamps: np.ndarray, n_sets: int,
     return table
 
 
-class KernelState:
-    """Persistent array state for one :class:`OutOfOrderCore`.
+# Columns of the per-core extent matrix ``BatchKernelState.lens``: the
+# compiled batch loop slices each stacked row back to its core's extent.
+LEN_IL1 = 0
+LEN_DL1 = 1
+LEN_L2 = 2
+LEN_BTB = 3
+LEN_ITLB = 4
+LEN_DTLB = 5
+LEN_GSHARE = 6
+LEN_ROB = 7
+LEN_IQ = 8
+LEN_MISS = 9
+N_LEN = 10
 
-    Built from (and exportable back to) the canonical snapshot format —
-    see :meth:`repro.uarch.pipeline.OutOfOrderCore.snapshot_state`.
-    Cache-structure contents, hit/miss totals and the gshare scalars
-    live *here* while the core is in kernel mode; DVM / cycle /
+#: Per-core state containers: (attribute, ``lens`` column, stacking
+#: pad).  Converted to lists for the interpreted kernel, stacked into
+#: ``(B, width)`` matrices by :class:`BatchKernelState`.  Tag/page rows
+#: pad with -1 (an always-empty way) purely for debuggability.
+_STATE_FIELDS = (
+    ("il1_tags", LEN_IL1, -1), ("il1_stamps", LEN_IL1, 0),
+    ("dl1_tags", LEN_DL1, -1), ("dl1_stamps", LEN_DL1, 0),
+    ("l2_tags", LEN_L2, -1), ("l2_stamps", LEN_L2, 0),
+    ("btb_tags", LEN_BTB, -1), ("btb_stamps", LEN_BTB, 0),
+    ("itlb_pages", LEN_ITLB, -1), ("itlb_stamps", LEN_ITLB, 0),
+    ("dtlb_pages", LEN_DTLB, -1), ("dtlb_stamps", LEN_DTLB, 0),
+    ("gshare_counters", LEN_GSHARE, 0),
+    ("rob_local", LEN_ROB, 0), ("rob_op", LEN_ROB, 0),
+    ("rob_ace", LEN_ROB, 0), ("rob_ismem", LEN_ROB, 0),
+    ("rob_issued", LEN_ROB, 0), ("rob_ready", LEN_ROB, 0),
+    ("rob_misp", LEN_ROB, 0),
+    ("iq_slots", LEN_IQ, 0), ("miss_until", LEN_MISS, 0),
+    ("sc", None, 0), ("fc", None, 0), ("cfg_i", None, 0),
+    ("cfg_f", None, 0),
+)
+
+
+class KernelState:
+    """Persistent state containers for one :class:`OutOfOrderCore`.
+
+    Built empty (a cold core) or from the canonical snapshot format —
+    see :meth:`repro.uarch.pipeline.OutOfOrderCore.snapshot_state` —
+    and exportable back to it.  ``compiled`` fixes the container type
+    for the state's lifetime: numpy arrays for the compiled kernel,
+    Python lists for the interpreted one.  Cache-structure contents,
+    hit/miss totals and the gshare scalars live *here*; DVM / cycle /
     interval scalars are copied in and out around every interval by
     :func:`run_interval_on_state` so the core object stays their
     authority.
+
+    Construction validates the cache, predictor, BTB and TLB geometry
+    (:class:`~repro.errors.ConfigurationError`): the kernel indexes sets
+    with a bit mask, so e.g. a 12-set cache would silently alias.
     """
 
-    def __init__(self, config: MachineConfig, snapshot: Dict[str, np.ndarray]):
+    def __init__(self, config: MachineConfig,
+                 snapshot: Optional[Dict[str, np.ndarray]] = None,
+                 compiled: bool = False):
         self.config = config
+        self.compiled = compiled
         il1_sets, il1_mask, il1_shift = _cache_geometry(
-            config.il1_size_kb, config.il1_assoc, config.il1_line_bytes)
+            "il1", config.il1_size_kb, config.il1_assoc,
+            config.il1_line_bytes)
         dl1_sets, dl1_mask, dl1_shift = _cache_geometry(
-            config.dl1_size_kb, config.dl1_assoc, config.dl1_line_bytes)
+            "dl1", config.dl1_size_kb, config.dl1_assoc,
+            config.dl1_line_bytes)
         l2_sets, l2_mask, l2_shift = _cache_geometry(
-            config.l2_size_kb, config.l2_assoc, config.l2_line_bytes)
+            "l2", config.l2_size_kb, config.l2_assoc, config.l2_line_bytes)
+        _check_front_end(config)
         btb_sets = config.btb_entries // config.btb_assoc
-        self._geometry = {
-            "il1": (il1_sets, config.il1_assoc),
-            "dl1": (dl1_sets, config.dl1_assoc),
-            "l2": (l2_sets, config.l2_assoc),
-            "btb": (btb_sets, config.btb_assoc),
-        }
+        #: (name, tag attribute, n_sets, ways, stamp slot) per LRU
+        #: structure; a TLB is a single fully-associative set whose
+        #: snapshot is one row of resident pages.
+        self._structures = (
+            ("il1", "il1_tags", il1_sets, config.il1_assoc, SC_IL1_STAMP),
+            ("dl1", "dl1_tags", dl1_sets, config.dl1_assoc, SC_DL1_STAMP),
+            ("l2", "l2_tags", l2_sets, config.l2_assoc, SC_L2_STAMP),
+            ("btb", "btb_tags", btb_sets, config.btb_assoc, SC_BTB_STAMP),
+            ("itlb", "itlb_pages", 1, config.itlb_entries, SC_ITLB_STAMP),
+            ("dtlb", "dtlb_pages", 1, config.dtlb_entries, SC_DTLB_STAMP),
+        )
 
-        def _structure(rows_key, n_sets, assoc):
-            tags = np.full(n_sets * assoc, -1, dtype=np.int64)
-            stamps = np.zeros(n_sets * assoc, dtype=np.int64)
-            next_stamp = _fill_from_lru(
-                np.asarray(snapshot[rows_key]), tags, stamps, assoc, 0)
-            return tags, stamps, next_stamp
-
-        self.il1_tags, self.il1_stamps, il1_stamp = _structure(
-            "il1_lru", il1_sets, config.il1_assoc)
-        self.dl1_tags, self.dl1_stamps, dl1_stamp = _structure(
-            "dl1_lru", dl1_sets, config.dl1_assoc)
-        self.l2_tags, self.l2_stamps, l2_stamp = _structure(
-            "l2_lru", l2_sets, config.l2_assoc)
-        self.btb_tags, self.btb_stamps, btb_stamp = _structure(
-            "btb_lru", btb_sets, config.btb_assoc)
-
-        def _tlb(rows_key, entries):
-            pages = np.full(entries, -1, dtype=np.int64)
-            stamps = np.zeros(entries, dtype=np.int64)
-            next_stamp = 0
-            for page in np.asarray(snapshot[rows_key]):
-                page = int(page)
-                if page == -1:
-                    continue
-                pages[next_stamp] = page
-                stamps[next_stamp] = next_stamp
-                next_stamp += 1
-            return pages, stamps, next_stamp
-
-        # TLB residents land in slots 0..k-1; slot order is stamp order.
-        self.itlb_pages, self.itlb_stamps, itlb_stamp = _tlb(
-            "itlb_lru", config.itlb_entries)
-        self.dtlb_pages, self.dtlb_stamps, dtlb_stamp = _tlb(
-            "dtlb_lru", config.dtlb_entries)
-
-        self.gshare_counters = np.array(snapshot["gshare_counters"],
-                                        dtype=np.int8)
-
-        ints = np.asarray(snapshot["ints"], dtype=np.int64)
-        from repro.uarch.pipeline import SNAPSHOT_INT_FIELDS
-
-        fields = dict(zip(SNAPSHOT_INT_FIELDS, (int(v) for v in ints)))
         self.sc = np.zeros(N_SC, dtype=np.int64)
-        self.sc[SC_IL1_HITS] = fields["il1_hits"]
-        self.sc[SC_IL1_MISSES] = fields["il1_misses"]
-        self.sc[SC_DL1_HITS] = fields["dl1_hits"]
-        self.sc[SC_DL1_MISSES] = fields["dl1_misses"]
-        self.sc[SC_L2_HITS] = fields["l2_hits"]
-        self.sc[SC_L2_MISSES] = fields["l2_misses"]
-        self.sc[SC_ITLB_HITS] = fields["itlb_hits"]
-        self.sc[SC_ITLB_MISSES] = fields["itlb_misses"]
-        self.sc[SC_DTLB_HITS] = fields["dtlb_hits"]
-        self.sc[SC_DTLB_MISSES] = fields["dtlb_misses"]
-        self.sc[SC_BTB_HITS] = fields["btb_hits"]
-        self.sc[SC_BTB_MISSES] = fields["btb_misses"]
-        self.sc[SC_GSHARE_HISTORY] = fields["gshare_history"]
-        self.sc[SC_GSHARE_LOOKUPS] = fields["gshare_lookups"]
-        self.sc[SC_GSHARE_MISPREDICTS] = fields["gshare_mispredicts"]
-        self.sc[SC_IL1_STAMP] = il1_stamp
-        self.sc[SC_DL1_STAMP] = dl1_stamp
-        self.sc[SC_L2_STAMP] = l2_stamp
-        self.sc[SC_BTB_STAMP] = btb_stamp
-        self.sc[SC_ITLB_STAMP] = itlb_stamp
-        self.sc[SC_DTLB_STAMP] = dtlb_stamp
         self.fc = np.zeros(N_FC, dtype=np.float64)
+        for name, tag_attr, n_sets, ways, stamp_slot in self._structures:
+            tags = np.full(n_sets * ways, -1, dtype=np.int64)
+            stamps = np.zeros(n_sets * ways, dtype=np.int64)
+            if snapshot is not None:
+                shape = (ways,) if tag_attr.endswith("pages") \
+                    else (n_sets, ways)
+                table = _snapshot_table(snapshot, name + "_lru", shape)
+                self.sc[stamp_slot] = _fill_from_lru(
+                    table.reshape(n_sets, ways), tags, stamps, ways)
+            setattr(self, tag_attr, tags)
+            setattr(self, name + "_stamps", stamps)
+
+        # Weakly not-taken 2-bit counters on a cold core.
+        self.gshare_counters = np.ones(config.branch_predictor_entries,
+                                       dtype=np.int8)
+        if snapshot is not None:
+            self.gshare_counters[:] = _snapshot_table(
+                snapshot, "gshare_counters", self.gshare_counters.shape)
+            fields = dict(zip(SNAPSHOT_INT_FIELDS,
+                              (int(v) for v in snapshot["ints"])))
+            for slot, key in _SC_SNAPSHOT_FIELDS:
+                self.sc[slot] = fields[key]
 
         self.cfg_i = np.zeros(N_CFG_I, dtype=np.int64)
         self.cfg_f = np.zeros(N_CFG_F, dtype=np.float64)
@@ -1018,7 +1138,7 @@ class KernelState:
         rob_size = config.rob_size
         self.rob_local = np.zeros(rob_size, dtype=np.int64)
         self.rob_op = np.zeros(rob_size, dtype=np.int64)
-        self.rob_ace = np.zeros(rob_size, dtype=np.uint8)
+        self.rob_ace = np.zeros(rob_size, dtype=np.int64)
         self.rob_ismem = np.zeros(rob_size, dtype=np.uint8)
         self.rob_issued = np.zeros(rob_size, dtype=np.uint8)
         self.rob_ready = np.zeros(rob_size, dtype=np.int64)
@@ -1028,52 +1148,26 @@ class KernelState:
         # completes, so lsq_size entries always suffice.
         self.miss_until = np.zeros(config.lsq_size, dtype=np.int64)
 
+        if not compiled:
+            for attr, _, _ in _STATE_FIELDS:
+                setattr(self, attr, getattr(self, attr).tolist())
+
     # ------------------------------------------------------------------
     def export_structures(self) -> Dict[str, np.ndarray]:
         """Cache/BTB/TLB/gshare contents in the canonical snapshot form."""
         out = {}
-        for name, tags, stamps in (
-                ("il1", self.il1_tags, self.il1_stamps),
-                ("dl1", self.dl1_tags, self.dl1_stamps),
-                ("l2", self.l2_tags, self.l2_stamps),
-                ("btb", self.btb_tags, self.btb_stamps)):
-            n_sets, assoc = self._geometry[name]
-            out[name + "_lru"] = _lru_rows(tags, stamps, n_sets, assoc)
-        for name, pages, stamps in (
-                ("itlb", self.itlb_pages, self.itlb_stamps),
-                ("dtlb", self.dtlb_pages, self.dtlb_stamps)):
-            entries = pages.shape[0]
-            resident = sorted(
-                (int(stamps[slot]), int(pages[slot]))
-                for slot in range(entries) if pages[slot] != -1
-            )
-            table = np.full(entries, -1, dtype=np.int64)
-            for slot, (_, page) in enumerate(resident):
-                table[slot] = page
-            out[name + "_lru"] = table
-        out["gshare_counters"] = self.gshare_counters.copy()
+        for name, tag_attr, n_sets, ways, _ in self._structures:
+            table = _lru_rows(getattr(self, tag_attr),
+                              getattr(self, name + "_stamps"), n_sets, ways)
+            out[name + "_lru"] = table[0] if tag_attr.endswith("pages") \
+                else table
+        out["gshare_counters"] = np.array(self.gshare_counters,
+                                          dtype=np.int8)
         return out
 
     def export_scalars(self) -> Dict[str, int]:
         """The structure scalars this state is authoritative for."""
-        sc = self.sc
-        return {
-            "il1_hits": int(sc[SC_IL1_HITS]),
-            "il1_misses": int(sc[SC_IL1_MISSES]),
-            "dl1_hits": int(sc[SC_DL1_HITS]),
-            "dl1_misses": int(sc[SC_DL1_MISSES]),
-            "l2_hits": int(sc[SC_L2_HITS]),
-            "l2_misses": int(sc[SC_L2_MISSES]),
-            "itlb_hits": int(sc[SC_ITLB_HITS]),
-            "itlb_misses": int(sc[SC_ITLB_MISSES]),
-            "dtlb_hits": int(sc[SC_DTLB_HITS]),
-            "dtlb_misses": int(sc[SC_DTLB_MISSES]),
-            "btb_hits": int(sc[SC_BTB_HITS]),
-            "btb_misses": int(sc[SC_BTB_MISSES]),
-            "gshare_history": int(sc[SC_GSHARE_HISTORY]),
-            "gshare_lookups": int(sc[SC_GSHARE_LOOKUPS]),
-            "gshare_mispredicts": int(sc[SC_GSHARE_MISPREDICTS]),
-        }
+        return {key: int(self.sc[slot]) for slot, key in _SC_SNAPSHOT_FIELDS}
 
 
 def load_interval_scalars(core, state: KernelState) -> None:
@@ -1084,13 +1178,11 @@ def load_interval_scalars(core, state: KernelState) -> None:
     (:func:`run_interval_on_batch`) drivers so the two paths cannot
     drift: the exact same assignments, in the same order.
     """
-    from repro.uarch.pipeline import _MAX_CPI
-
     cfg_i, cfg_f, sc, fc = state.cfg_i, state.cfg_f, state.sc, state.fc
     dvm = core.dvm
     cfg_i[CFG_DVM_ENABLED] = 0 if dvm is None else 1
     cfg_i[CFG_DVM_SAMPLE_PERIOD] = core._dvm_sample_period
-    cfg_i[CFG_MAX_CPI] = _MAX_CPI
+    cfg_i[CFG_MAX_CPI] = MAX_CPI
     if dvm is not None:
         policy = dvm.policy
         cfg_f[CFGF_DVM_THRESHOLD] = policy.threshold
@@ -1124,69 +1216,31 @@ def store_interval_scalars(core, state: KernelState, n: int) -> None:
         dvm.sample_count = int(sc[SC_DVM_SAMPLES])
 
 
-def pack_trace(trace):
-    """The seven contiguous, kernel-dtyped trace arrays for one interval."""
-    return (np.ascontiguousarray(trace.op, dtype=np.int64),
-            np.ascontiguousarray(trace.src1_dist, dtype=np.int64),
-            np.ascontiguousarray(trace.src2_dist, dtype=np.int64),
-            np.ascontiguousarray(trace.address, dtype=np.int64),
-            np.ascontiguousarray(trace.pc, dtype=np.int64),
-            np.ascontiguousarray(trace.taken, dtype=np.uint8),
-            np.ascontiguousarray(trace.ace, dtype=np.uint8))
+def pack_trace(trace, compiled: bool):
+    """The seven trace columns of one interval as int64 values in the
+    kernel's container: contiguous arrays when compiled, lists
+    otherwise."""
+    columns = tuple(
+        np.ascontiguousarray(column, dtype=np.int64)
+        for column in (trace.op, trace.src1_dist, trace.src2_dist,
+                       trace.address, trace.pc, trace.taken, trace.ace))
+    if compiled:
+        return columns
+    return tuple(column.tolist() for column in columns)
 
 
-def run_interval_on_state(core, state: KernelState, trace,
-                          compiled: bool = True):
-    """Advance ``core`` one interval through the array kernel.
-
-    Copies the interval scalars (cycle, DVM controller state) from the
-    core object into the packed state vectors, runs
-    :func:`step_interval` (compiled when ``compiled`` and numba is
-    importable, silently uncompiled otherwise), and copies them back.
-    Returns the same :class:`~repro.uarch.pipeline.IntervalStats` the
-    interpreter would.
-    """
-    from repro.uarch.pipeline import _MAX_CPI, COUNTER_KEYS, IntervalStats
-
-    cfg_i, cfg_f, sc, fc = state.cfg_i, state.cfg_f, state.sc, state.fc
-    start_cycle = core._cycle
-    load_interval_scalars(core, state)
-
-    t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace = pack_trace(trace)
-
-    out_counters = np.zeros(N_CTR, dtype=np.float64)
-    out_ace = np.zeros(N_ACE, dtype=np.float64)
-    out_ints = np.zeros(N_OI, dtype=np.int64)
-
-    step = compiled_step() if compiled else None
-    if not step:
-        step = step_interval
-    step(t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace,
-         cfg_i, cfg_f,
-         state.il1_tags, state.il1_stamps, state.dl1_tags, state.dl1_stamps,
-         state.l2_tags, state.l2_stamps, state.btb_tags, state.btb_stamps,
-         state.itlb_pages, state.itlb_stamps,
-         state.dtlb_pages, state.dtlb_stamps,
-         state.gshare_counters,
-         state.rob_local, state.rob_op, state.rob_ace, state.rob_ismem,
-         state.rob_issued, state.rob_ready, state.rob_misp, state.iq_slots,
-         state.miss_until, sc, fc, out_counters, out_ace, out_ints)
-
+def interval_stats(n: int, cycles: int, out_counters, out_ace,
+                   out_ints) -> IntervalStats:
+    """:class:`IntervalStats` from one core's raw kernel outputs."""
     if out_ints[OI_STATUS] != 0:
         raise SimulationError(
-            f"interval exceeded {_MAX_CPI} CPI — model deadlock"
-        )
-
-    store_interval_scalars(core, state, len(trace))
-
-    stats = IntervalStats(instructions=len(trace))
-    stats.cycles = core._cycle - start_cycle
+            f"interval exceeded {MAX_CPI} CPI — model deadlock")
+    stats = IntervalStats(instructions=n)
+    stats.cycles = int(cycles)
     stats.branch_mispredicts = int(out_ints[OI_MISPREDICTS])
     stats.dvm_throttled_cycles = int(out_ints[OI_THROTTLED])
-    stats.counters = {
-        key: float(out_counters[index])
-        for index, key in enumerate(COUNTER_KEYS)
-    }
+    stats.counters = {key: float(out_counters[index])
+                      for index, key in enumerate(COUNTER_KEYS)}
     stats.ace_bit_cycles = {
         "iq": float(out_ace[ACE_IQ]),
         "rob": float(out_ace[ACE_ROB]),
@@ -1196,84 +1250,46 @@ def run_interval_on_state(core, state: KernelState, trace,
     return stats
 
 
-# ----------------------------------------------------------------------
-# Batched stepping: a leading config axis B over every state array
-# ----------------------------------------------------------------------
+def run_interval_on_state(core, state: KernelState,
+                          trace) -> IntervalStats:
+    """Advance ``core`` one interval through :func:`step_interval`.
 
-# Column layout of the per-core length matrix ``lens`` passed to
-# :func:`step_interval_batch` — per-core structure sizes differ across
-# configs, so stacked arrays are padded to the group maximum and every
-# kernel call slices each row back to its true extent (the scalar
-# kernel derives geometry from slice lengths, e.g. TLB entry counts
-# from ``itlb_pages.shape[0]``).
-LEN_IL1 = 0
-LEN_DL1 = 1
-LEN_L2 = 2
-LEN_BTB = 3
-LEN_ITLB = 4
-LEN_DTLB = 5
-LEN_GSHARE = 6
-LEN_ROB = 7
-LEN_IQ = 8
-LEN_MISS = 9
-N_LEN = 10
-
-
-def step_interval_batch(t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace,
-                        active, lens, cfg_i, cfg_f,
-                        il1_tags, il1_stamps, dl1_tags, dl1_stamps,
-                        l2_tags, l2_stamps, btb_tags, btb_stamps,
-                        itlb_pages, itlb_stamps, dtlb_pages, dtlb_stamps,
-                        gshare_counters,
-                        rob_local, rob_op, rob_ace, rob_ismem, rob_issued,
-                        rob_ready, rob_misp, iq_slots, miss_until,
-                        sc, fc, out_counters, out_ace, out_ints):
-    """Advance every active core of a group one interval: the batched
-    twin of :func:`step_interval` with a leading config axis ``B``.
-
-    All state arrays are stacked ``(B, width)`` matrices (padded to the
-    group's widest config; padding is never read because each row is
-    sliced to its ``lens`` extent before the scalar body sees it), the
-    seven trace arrays are shared read-only across the group, and
-    ``active`` masks rows out of a step (ragged checkpoint resumes,
-    fresh-core-only warmup).  This plain-``range`` loop is the
-    interpreter fallback; the compiled twin in
-    :mod:`repro.uarch._pipeline_batch_numba` runs the identical body
-    under ``numba.prange``.  Rows are fully independent — each loop
-    iteration reads/writes only row ``b`` slices plus the shared
-    read-only trace, and :func:`step_interval` allocates its per-call
-    scratch internally — so parallel execution is bit-identical to this
-    serial loop at any thread count.
+    Copies the interval scalars (cycle, DVM controller state) from the
+    core object into the packed state vectors, steps the kernel —
+    compiled over arrays or interpreted over lists, per
+    ``state.compiled`` — and copies them back.
     """
-    for b in range(active.shape[0]):
-        if active[b] == 1:
-            step_interval(
-                t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace,
-                cfg_i[b], cfg_f[b],
-                il1_tags[b, :lens[b, LEN_IL1]],
-                il1_stamps[b, :lens[b, LEN_IL1]],
-                dl1_tags[b, :lens[b, LEN_DL1]],
-                dl1_stamps[b, :lens[b, LEN_DL1]],
-                l2_tags[b, :lens[b, LEN_L2]],
-                l2_stamps[b, :lens[b, LEN_L2]],
-                btb_tags[b, :lens[b, LEN_BTB]],
-                btb_stamps[b, :lens[b, LEN_BTB]],
-                itlb_pages[b, :lens[b, LEN_ITLB]],
-                itlb_stamps[b, :lens[b, LEN_ITLB]],
-                dtlb_pages[b, :lens[b, LEN_DTLB]],
-                dtlb_stamps[b, :lens[b, LEN_DTLB]],
-                gshare_counters[b, :lens[b, LEN_GSHARE]],
-                rob_local[b, :lens[b, LEN_ROB]],
-                rob_op[b, :lens[b, LEN_ROB]],
-                rob_ace[b, :lens[b, LEN_ROB]],
-                rob_ismem[b, :lens[b, LEN_ROB]],
-                rob_issued[b, :lens[b, LEN_ROB]],
-                rob_ready[b, :lens[b, LEN_ROB]],
-                rob_misp[b, :lens[b, LEN_ROB]],
-                iq_slots[b, :lens[b, LEN_IQ]],
-                miss_until[b, :lens[b, LEN_MISS]],
-                sc[b], fc[b], out_counters[b], out_ace[b], out_ints[b])
+    n = len(trace)
+    start_cycle = core._cycle
+    load_interval_scalars(core, state)
+    if state.compiled:
+        step = compiled_step() or step_interval
+        scratch = (np.zeros(n, np.int64), np.zeros(n, np.uint8),
+                   np.zeros(5, np.int64))
+        outputs = (np.zeros(N_CTR), np.zeros(N_ACE),
+                   np.zeros(N_OI, np.int64))
+    else:
+        step = step_interval
+        scratch = ([0] * n, [0] * n, [0] * 5)
+        outputs = ([0.0] * N_CTR, [0.0] * N_ACE, [0] * N_OI)
+    step(*pack_trace(trace, state.compiled),
+         state.cfg_i, state.cfg_f,
+         state.il1_tags, state.il1_stamps, state.dl1_tags, state.dl1_stamps,
+         state.l2_tags, state.l2_stamps, state.btb_tags, state.btb_stamps,
+         state.itlb_pages, state.itlb_stamps,
+         state.dtlb_pages, state.dtlb_stamps,
+         state.gshare_counters,
+         state.rob_local, state.rob_op, state.rob_ace, state.rob_ismem,
+         state.rob_issued, state.rob_ready, state.rob_misp, state.iq_slots,
+         state.miss_until, *scratch, state.sc, state.fc, *outputs)
+    stats = interval_stats(n, state.sc[SC_CYCLE] - start_cycle, *outputs)
+    store_interval_scalars(core, state, n)
+    return stats
 
+
+# ----------------------------------------------------------------------
+# Batched stepping (compiled only): a leading config axis B
+# ----------------------------------------------------------------------
 
 #: Lazily-resolved compiled batch stepper (``None`` = not attempted,
 #: ``False`` = numba unavailable, else the prange dispatcher).
@@ -1293,107 +1309,66 @@ def compiled_batch_step():
     return _BATCH_STEP
 
 
-#: Stacked per-core state fields: (attribute, lens column).  Tag/page
-#: arrays pad with -1 (an always-empty way) purely for debuggability —
-#: padding is unreachable either way, since every kernel call slices
-#: each row to its ``lens`` extent first.
-_BATCH_FIELDS = (
-    ("il1_tags", LEN_IL1, -1), ("il1_stamps", LEN_IL1, 0),
-    ("dl1_tags", LEN_DL1, -1), ("dl1_stamps", LEN_DL1, 0),
-    ("l2_tags", LEN_L2, -1), ("l2_stamps", LEN_L2, 0),
-    ("btb_tags", LEN_BTB, -1), ("btb_stamps", LEN_BTB, 0),
-    ("itlb_pages", LEN_ITLB, -1), ("itlb_stamps", LEN_ITLB, 0),
-    ("dtlb_pages", LEN_DTLB, -1), ("dtlb_stamps", LEN_DTLB, 0),
-    ("gshare_counters", LEN_GSHARE, 0),
-    ("rob_local", LEN_ROB, 0), ("rob_op", LEN_ROB, 0),
-    ("rob_ace", LEN_ROB, 0), ("rob_ismem", LEN_ROB, 0),
-    ("rob_issued", LEN_ROB, 0), ("rob_ready", LEN_ROB, 0),
-    ("rob_misp", LEN_ROB, 0),
-    ("iq_slots", LEN_IQ, 0), ("miss_until", LEN_MISS, 0),
-    ("sc", None, 0), ("fc", None, 0), ("cfg_i", None, 0),
-    ("cfg_f", None, 0),
-)
-
-
 class BatchKernelState:
-    """Stacked ``(B, width)`` state for a group of per-core states.
+    """Stacked ``(B, width)`` arrays for a group of compiled states.
 
     Construction *adopts* the member :class:`KernelState` objects:
     every per-core array is copied into a row prefix of one stacked
     matrix, and the member's attribute is rebound to that row-prefix
-    **view**.  From then on the scalar and batched steppers operate on
-    the same memory — a member core can still run a scalar interval,
-    export :meth:`KernelState.export_structures` for a checkpoint, or
-    round-trip a snapshot, and the batch sees the result (this is how
-    per-core checkpoint slices stay in the unchanged ckpt/v2 format).
-    Padding beyond a row's true extent is never read: ``lens`` records
-    each core's structure sizes and every stepper slices rows back to
-    them.
+    **view**.  From then on the member and the batch share memory — a
+    member can still export :meth:`KernelState.export_structures` for a
+    checkpoint (per-core ``ckpt/v2`` slices), and the batch sees any
+    change.  ``lens`` records each core's true extents
+    (:data:`_STATE_FIELDS` columns); the stepper slices every row back
+    to them, so padding is never read.
     """
 
     def __init__(self, states):
         self.states = list(states)
         if not self.states:
             raise SimulationError("batch of zero kernel states")
+        if not all(state.compiled for state in self.states):
+            raise SimulationError("only compiled kernel states stack")
         n_cores = len(self.states)
-        lens = np.zeros((n_cores, N_LEN), dtype=np.int64)
-        for b, state in enumerate(self.states):
-            lens[b, LEN_IL1] = state.il1_tags.shape[0]
-            lens[b, LEN_DL1] = state.dl1_tags.shape[0]
-            lens[b, LEN_L2] = state.l2_tags.shape[0]
-            lens[b, LEN_BTB] = state.btb_tags.shape[0]
-            lens[b, LEN_ITLB] = state.itlb_pages.shape[0]
-            lens[b, LEN_DTLB] = state.dtlb_pages.shape[0]
-            lens[b, LEN_GSHARE] = state.gshare_counters.shape[0]
-            lens[b, LEN_ROB] = state.rob_local.shape[0]
-            lens[b, LEN_IQ] = state.iq_slots.shape[0]
-            lens[b, LEN_MISS] = state.miss_until.shape[0]
-        self.lens = lens
-        for attr, _, pad in _BATCH_FIELDS:
+        self.lens = np.zeros((n_cores, N_LEN), dtype=np.int64)
+        for attr, column, pad in _STATE_FIELDS:
             rows = [getattr(state, attr) for state in self.states]
             width = max(row.shape[0] for row in rows)
             stacked = np.full((n_cores, width), pad, dtype=rows[0].dtype)
             for b, row in enumerate(rows):
                 stacked[b, :row.shape[0]] = row
+                if column is not None:
+                    self.lens[b, column] = row.shape[0]
                 setattr(self.states[b], attr, stacked[b, :row.shape[0]])
             setattr(self, attr, stacked)
 
 
-def run_interval_on_batch(cores, batch: BatchKernelState, trace, active,
-                          compiled: bool = True):
-    """Advance every active core one interval in one batched call.
+def run_interval_on_batch(cores, batch: BatchKernelState, trace, active):
+    """Advance every active core one interval in one compiled call.
 
     The batch analogue of :func:`run_interval_on_state`: per-core
-    interval scalars are loaded/stored through the same helpers, the
-    whole group steps through one :func:`step_interval_batch` call
-    (compiled with ``prange`` when ``compiled`` and numba is
-    importable, the plain loop otherwise), and the raw per-core outputs
-    come back as ``(out_counters, out_ace, out_ints, cycles)`` stacked
-    arrays for the caller to post-process with the exact scalar power /
-    AVF model calls.  ``active`` is a ``(B,)`` uint8 mask; inactive
-    rows are untouched.
+    interval scalars are loaded/stored through the same helpers and the
+    whole group steps through one ``prange`` call (per-row scratch is
+    allocated inside the loop, so threads share nothing writable).
+    Returns one :class:`IntervalStats` per core, ``None`` for rows the
+    ``(B,)`` uint8 ``active`` mask leaves untouched.
     """
     from repro.uarch.jit import apply_jit_threads
-    from repro.uarch.pipeline import _MAX_CPI
 
+    step = compiled_batch_step()
+    if not step:
+        raise SimulationError("batched stepping needs numba")
+    apply_jit_threads()
     states = batch.states
     for b, core in enumerate(cores):
         if active[b]:
             load_interval_scalars(core, states[b])
-
-    t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace = pack_trace(trace)
     n_cores = len(cores)
     out_counters = np.zeros((n_cores, N_CTR), dtype=np.float64)
     out_ace = np.zeros((n_cores, N_ACE), dtype=np.float64)
     out_ints = np.zeros((n_cores, N_OI), dtype=np.int64)
     start_cycles = batch.sc[:, SC_CYCLE].copy()
-
-    step = compiled_batch_step() if compiled else None
-    if step:
-        apply_jit_threads()
-    else:
-        step = step_interval_batch
-    step(t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace,
+    step(*pack_trace(trace, True),
          active, batch.lens, batch.cfg_i, batch.cfg_f,
          batch.il1_tags, batch.il1_stamps, batch.dl1_tags, batch.dl1_stamps,
          batch.l2_tags, batch.l2_stamps, batch.btb_tags, batch.btb_stamps,
@@ -1406,13 +1381,12 @@ def run_interval_on_batch(cores, batch: BatchKernelState, trace, active,
          out_counters, out_ace, out_ints)
 
     n = len(trace)
+    results = []
     for b, core in enumerate(cores):
+        stats = None
         if active[b]:
-            if out_ints[b, OI_STATUS] != 0:
-                raise SimulationError(
-                    f"interval exceeded {_MAX_CPI} CPI — model deadlock"
-                )
+            stats = interval_stats(n, batch.sc[b, SC_CYCLE] - start_cycles[b],
+                                   out_counters[b], out_ace[b], out_ints[b])
             store_interval_scalars(core, states[b], n)
-
-    cycles = batch.sc[:, SC_CYCLE] - start_cycles
-    return out_counters, out_ace, out_ints, cycles
+        results.append(stats)
+    return results

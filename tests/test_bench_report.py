@@ -4,8 +4,6 @@ import json
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import bench_report
@@ -91,7 +89,10 @@ def test_main_writes_summary_and_sets_exit_code(tmp_path):
 
 
 def test_repo_records_pass_as_committed():
-    repo_root = Path(__file__).resolve().parents[1]
-    if not list(repo_root.glob("BENCH_*.json")):
-        pytest.skip("no benchmark records present")
-    assert bench_report.build_summary(repo_root)["failures"] == 0
+    """The committed sample records (real bench output, numba-less
+    machine) pass the gates — hermetic, unlike the gitignored
+    ``BENCH_*.json`` a local bench run leaves in the working tree."""
+    fixtures = Path(__file__).resolve().parent / "fixtures" / "bench_records"
+    summary = bench_report.build_summary(fixtures)
+    assert summary["checks_run"] > 0
+    assert summary["failures"] == 0

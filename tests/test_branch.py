@@ -1,122 +1,127 @@
-"""Unit tests for the branch prediction hardware."""
+"""Branch prediction behaviour of the detailed pipeline kernel.
+
+The gshare predictor and the BTB live inside
+:func:`repro.uarch.pipeline_kernel.step_interval`; these tests drive an
+:class:`~repro.uarch.pipeline.OutOfOrderCore` with hand-built branch
+traces (see ``test_caches``) and read the predictor through the core's
+lookup / mispredict / BTB scalars and its canonical snapshot.
+Independent branches resolve in program order, so one interval can
+carry a whole training stream.
+"""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_caches import hit, lru_rows, make_trace, probe_config, scalars
 
 from repro.errors import ConfigurationError
-from repro.uarch.branch import (
-    BranchTargetBuffer,
-    FrontEnd,
-    GsharePredictor,
-    ReturnAddressStack,
-)
 from repro.uarch.params import baseline_config
+from repro.uarch.pipeline import OutOfOrderCore
+from repro.uarch.trace import OpClass
+
+
+def branches(core, pc, outcomes):
+    """Resolve one branch at ``pc`` per outcome, in one interval;
+    returns that interval's mispredict count."""
+    outcomes = [bool(t) for t in outcomes]
+    before = scalars(core)["gshare_mispredicts"]
+    core.run_interval(make_trace([OpClass.BRANCH] * len(outcomes),
+                                 pcs=[pc] * len(outcomes), taken=outcomes))
+    return scalars(core)["gshare_mispredicts"] - before
+
+
+def mispredict_rate(core):
+    s = scalars(core)
+    return s["gshare_mispredicts"] / s["gshare_lookups"]
+
+
+def predicts_taken(core, pc):
+    """gshare's next prediction for ``pc``, read from the snapshot."""
+    snapshot = core.snapshot_state()
+    history = scalars(core)["gshare_history"]
+    counters = snapshot["gshare_counters"]
+    return counters[((pc >> 2) ^ history) & (len(counters) - 1)] >= 2
 
 
 class TestGshare:
     def test_learns_always_taken_branch(self):
-        pred = GsharePredictor()
-        for _ in range(50):
-            pred.update(0x4000, True)
-        assert pred.predict(0x4000)
-        # Steady state: near-zero mispredicts on a monomorphic branch.
-        before = pred.mispredicts
-        for _ in range(100):
-            pred.update(0x4000, True)
-        assert pred.mispredicts == before
+        core = OutOfOrderCore(probe_config())
+        branches(core, 0x4000, [True] * 50)
+        assert predicts_taken(core, 0x4000)
+        # Steady state: no mispredicts on a monomorphic branch.
+        assert branches(core, 0x4000, [True] * 100) == 0
 
     def test_learns_biased_branch_well(self):
         rng = np.random.default_rng(0)
-        pred = GsharePredictor()
-        outcomes = rng.uniform(size=2000) < 0.95
-        for t in outcomes:
-            pred.update(0x1234, bool(t))
-        assert pred.mispredict_rate < 0.15
+        core = OutOfOrderCore(probe_config())
+        branches(core, 0x1234, rng.uniform(size=2000) < 0.95)
+        assert mispredict_rate(core) < 0.15
 
     def test_random_branch_mispredicts_half(self):
         rng = np.random.default_rng(1)
-        pred = GsharePredictor()
-        for t in rng.uniform(size=4000) < 0.5:
-            pred.update(0x5678, bool(t))
-        assert 0.35 < pred.mispredict_rate < 0.65
+        core = OutOfOrderCore(probe_config())
+        branches(core, 0x5678, rng.uniform(size=4000) < 0.5)
+        assert 0.35 < mispredict_rate(core) < 0.65
 
     def test_learns_alternating_pattern_via_history(self):
         """T,NT,T,NT is perfectly predictable with global history."""
-        pred = GsharePredictor()
-        for i in range(400):
-            pred.update(0x9000, i % 2 == 0)
-        before = pred.mispredicts
-        for i in range(400, 600):
-            pred.update(0x9000, i % 2 == 0)
-        late_rate = (pred.mispredicts - before) / 200
-        assert late_rate < 0.05
+        core = OutOfOrderCore(probe_config())
+        branches(core, 0x9000, [i % 2 == 0 for i in range(400)])
+        late = branches(core, 0x9000, [i % 2 == 0 for i in range(400, 600)])
+        assert late / 200 < 0.05
 
     def test_invalid_geometry(self):
-        with pytest.raises(ConfigurationError):
-            GsharePredictor(entries=1000)     # not a power of two
-        with pytest.raises(ConfigurationError):
-            GsharePredictor(history_bits=0)
+        with pytest.raises(ConfigurationError, match="power of two"):
+            OutOfOrderCore(replace(baseline_config(),
+                                   branch_predictor_entries=1000))
+        with pytest.raises(ConfigurationError, match="history_bits"):
+            OutOfOrderCore(replace(baseline_config(), branch_history_bits=0))
+
+
+def btb_hit(core, pc):
+    """One taken branch at ``pc``; True on a BTB hit."""
+    return hit(core, make_trace([OpClass.BRANCH], pcs=[pc], taken=[True]),
+               "btb")
 
 
 class TestBTB:
     def test_hit_after_allocation(self):
-        btb = BranchTargetBuffer()
-        assert not btb.access(0x4000)
-        assert btb.access(0x4000)
+        core = OutOfOrderCore(probe_config())
+        assert not btb_hit(core, 0x4000)
+        assert btb_hit(core, 0x4000)
 
     def test_lru_within_set(self):
-        btb = BranchTargetBuffer(entries=8, assoc=2)  # 4 sets
-        set_stride = 4 * 4                            # pc >> 2 % 4
+        core = OutOfOrderCore(probe_config(btb_entries=8, btb_assoc=2))
+        set_stride = 4 * 4                            # pc >> 2 % 4 sets
         a, b, c = 0x0, set_stride << 2, (2 * set_stride) << 2
-        btb.access(a)
-        btb.access(b)
-        btb.access(a)
-        btb.access(c)   # evicts b
-        assert btb.access(a)
-        assert not btb.access(b)
+        btb_hit(core, a)
+        btb_hit(core, b)
+        btb_hit(core, a)
+        assert lru_rows(core, "btb")[0] == [b >> 2, a >> 2]
+        btb_hit(core, c)   # evicts b
+        assert lru_rows(core, "btb")[0] == [a >> 2, c >> 2]
+        assert btb_hit(core, a)
+        assert not btb_hit(core, b)
 
     def test_invalid_geometry(self):
-        with pytest.raises(ConfigurationError):
-            BranchTargetBuffer(entries=10, assoc=4)
-
-
-class TestRAS:
-    def test_matched_call_return(self):
-        ras = ReturnAddressStack(entries=4)
-        ras.push(0x1004)
-        assert ras.pop(0x1004)
-        assert ras.mispops == 0
-
-    def test_underflow_counts_mispop(self):
-        ras = ReturnAddressStack(entries=4)
-        assert not ras.pop(0x2000)
-        assert ras.mispops == 1
-
-    def test_overflow_wraps(self):
-        ras = ReturnAddressStack(entries=2)
-        for pc in (0x10, 0x20, 0x30):
-            ras.push(pc)
-        assert ras.pop(0x30)
-        assert ras.pop(0x20)
-        assert not ras.pop(0x10)   # overwritten by the wrap
-
-    def test_invalid_entries(self):
-        with pytest.raises(ConfigurationError):
-            ReturnAddressStack(entries=0)
+        with pytest.raises(ConfigurationError, match="multiple of assoc"):
+            OutOfOrderCore(replace(baseline_config(), btb_entries=10,
+                                   btb_assoc=4))
 
 
 class TestFrontEnd:
     def test_bundle_uses_table1_geometry(self):
-        fe = FrontEnd(baseline_config())
-        assert fe.gshare.entries == 2048
-        assert fe.gshare.history_bits == 10
-        assert fe.btb.n_sets * fe.btb.assoc == 2048
-        assert fe.ras.entries == 32
+        snapshot = OutOfOrderCore(baseline_config()).snapshot_state()
+        assert snapshot["gshare_counters"].shape == (2048,)
+        assert snapshot["btb_lru"].shape == (512, 4)      # 2048 entries
+        assert (snapshot["gshare_counters"] == 1).all()   # weakly not-taken
 
     def test_resolve_branch_trains(self):
-        fe = FrontEnd(baseline_config())
+        core = OutOfOrderCore(probe_config())
         # The 10-bit global history walks ~10 distinct counters before
         # saturating, so train well past the cold phase.
-        for _ in range(400):
-            fe.resolve_branch(0x4000, True)
-        assert fe.gshare.mispredict_rate < 0.05
+        branches(core, 0x4000, [True] * 400)
+        assert mispredict_rate(core) < 0.05
+        assert scalars(core)["gshare_lookups"] == 400
+        assert scalars(core)["btb_hits"] == 399   # one cold allocation

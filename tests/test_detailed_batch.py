@@ -1,21 +1,27 @@
 """Batched detailed-pipeline kernel: bit-identity, raggedness, routing.
 
-The batched stepper (:func:`repro.uarch.pipeline_kernel.step_interval_batch`
-driven by :func:`repro.uarch.detailed.run_detailed_group`) stacks every
-core of a detailed group behind a leading config axis and advances the
-whole group per interval in one call.  This module pins, against the
-PR 7 golden digests of ``test_detailed_kernel``:
+With the compiled kernel, :func:`repro.uarch.detailed.run_detailed_group`
+stacks every core of a detailed group in a
+:class:`~repro.uarch.pipeline_kernel.BatchKernelState` and advances
+the whole group per interval in one ``prange`` call; interpreted, it
+runs members one at a time.  This module pins, against the golden
+digests of ``test_detailed_kernel``:
 
 * batch-of-one and heterogeneous batch-of-B runs, sliced back per core;
-* thread-count invariance (``REPRO_JIT_THREADS`` ∈ {1, 2, max} —
+* thread-count invariance (``REPRO_JIT_THREADS`` in {1, 2, max} —
   rows are independent, so the prange schedule must never show);
 * ragged groups: members resuming from different checkpoints (or none)
   under one ``active`` mask, with mid-stream batched checkpoint saves
-  whose per-core ``ckpt/v2`` slices round-trip through either engine;
+  whose per-core ``ckpt/v2`` slices round-trip through either path;
+* group validation: members must share one group signature;
 * the engine plumbing: group routing in ``repro.engine.kernel``,
   group-aware chunk carving/planning in ``repro.engine.executor``, and
   the compile-memo / thread-knob / cache-dir helpers in
   ``repro.uarch.jit``.
+
+Without numba the batched path is still exercised: :func:`_route_through_batch`
+swaps the compiled ``prange`` loop for :func:`_serial_batch_step`, the
+same row slicing stepped serially by the uncompiled kernel.
 """
 
 import dataclasses
@@ -28,11 +34,12 @@ from test_detailed_kernel import GOLDEN_DIGESTS, IPS, N_SAMPLES, _digest, \
 from repro.engine.executor import ChunkTuner, batch_group_run, carve_chunk
 from repro.engine.jobs import SimJob
 from repro.errors import SimulationError
-from repro.uarch import detailed, jit
+from repro.uarch import detailed, jit, pipeline_kernel
 from repro.uarch.params import baseline_config
 from repro.uarch.pipeline import OutOfOrderCore
+from repro.workloads.spec2000 import get_benchmark
 
-BATCH_ON = "repro.engine.kernel.detailed_batch_enabled"
+BATCH_ON = "repro.uarch.jit.jit_enabled"
 
 
 def _job(bench, config, **kwargs):
@@ -46,23 +53,56 @@ def _golden_jobs(bench):
     return [c[0] for c in cases], [_job(bench, c[2]) for c in cases]
 
 
+def _serial_batch_step(t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace,
+                       active, lens, cfg_i, cfg_f, *arrays):
+    """``repro.uarch._pipeline_batch_numba``'s prange loop, run serially
+    through the uncompiled kernel: same row slicing, same per-row
+    scratch."""
+    *stacked, sc, fc, out_counters, out_ace, out_ints = arrays
+    columns = [column for _, column, _ in pipeline_kernel._STATE_FIELDS
+               if column is not None]
+    n = len(t_op)
+    for b in range(len(active)):
+        if active[b] == 1:
+            rows = [array[b, :lens[b, column]]
+                    for array, column in zip(stacked, columns)]
+            pipeline_kernel.step_interval(
+                t_op, t_src1, t_src2, t_addr, t_pc, t_taken, t_ace,
+                cfg_i[b], cfg_f[b], *rows,
+                np.zeros(n, np.int64), np.zeros(n, np.uint8),
+                np.zeros(5, np.int64),
+                sc[b], fc[b], out_counters[b], out_ace[b], out_ints[b])
+
+
+def _route_through_batch(monkeypatch):
+    """Build array-backed cores and send detailed groups through
+    BatchKernelState: the compiled prange stepper where numba is
+    installed, :func:`_serial_batch_step` elsewhere."""
+    monkeypatch.setattr("repro.uarch.pipeline.jit_enabled", lambda: True)
+    monkeypatch.setattr(BATCH_ON, lambda jit=None: True)
+    if not jit.jit_available():
+        monkeypatch.setattr(pipeline_kernel, "compiled_batch_step",
+                            lambda: _serial_batch_step)
+
+
 # ----------------------------------------------------------------------
 # Golden digests through the batched stepper
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("bench", ["gcc", "mcf", "swim"])
-def test_batched_group_matches_goldens(bench):
+def test_batched_group_matches_goldens(monkeypatch, bench):
     """Heterogeneous groups (DVM members included) and the swim
-    batch-of-one, through the interpreter twin of the batch loop."""
+    batch-of-one."""
+    _route_through_batch(monkeypatch)
     labels, jobs = _golden_jobs(bench)
-    results = detailed.run_detailed_group(jobs, engine="batch-interp")
+    results = detailed.run_detailed_group(jobs)
     for label, result in zip(labels, results):
         assert _digest(result) == GOLDEN_DIGESTS[label]
 
 
-def test_batch_of_b_slices_per_core():
+def test_batch_of_b_slices_per_core(monkeypatch):
     """A widened batch (ragged widths: iq/rob/lsq all differ) yields the
     golden stream for the member that has one, and every member matches
-    its own per-job run bit-for-bit."""
+    its own interpreted per-job run bit-for-bit."""
     base = baseline_config()
     configs = [base,
                dataclasses.replace(base, iq_size=16),
@@ -70,10 +110,11 @@ def test_batch_of_b_slices_per_core():
                dataclasses.replace(base, lsq_size=24),
                base.with_dvm(True, 0.3)]
     jobs = [_job("gcc", c) for c in configs]
-    results = detailed.run_detailed_group(jobs, engine="batch-interp")
+    references = [job.run() for job in jobs]
+    _route_through_batch(monkeypatch)
+    results = detailed.run_detailed_group(jobs)
     assert _digest(results[0]) == GOLDEN_DIGESTS["gcc-baseline"]
-    for job, result in zip(jobs, results):
-        scalar = job.run()
+    for scalar, result in zip(references, results):
         for name in scalar.traces:
             assert np.array_equal(result.traces[name],
                                   scalar.traces[name]), name
@@ -85,20 +126,25 @@ def test_batch_of_b_slices_per_core():
 @pytest.mark.skipif(not jit.jit_available(), reason="numba not installed")
 def test_batched_group_compiled_matches_goldens():
     labels, jobs = _golden_jobs("gcc")
-    results = detailed.run_detailed_group(jobs, engine="batch")
+    try:
+        jit.set_jit(True)
+        results = detailed.run_detailed_group(jobs)
+    finally:
+        jit.set_jit(None)
     for label, result in zip(labels, results):
         assert _digest(result) == GOLDEN_DIGESTS[label]
 
 
-def test_thread_count_invariance():
+def test_thread_count_invariance(monkeypatch):
     """{1, 2, max} threads produce byte-identical streams (compiled
     prange in the numba leg; the knob is still exercised without it)."""
+    _route_through_batch(monkeypatch)
     labels, jobs = _golden_jobs("gcc")
     counts = [1, 2, jit.apply_jit_threads() or 1, None]
     try:
         for count in counts:
             jit.set_jit_threads(count)
-            results = detailed.run_detailed_group(jobs, engine="batch")
+            results = detailed.run_detailed_group(jobs)
             for label, result in zip(labels, results):
                 assert _digest(result) == GOLDEN_DIGESTS[label], \
                     (label, count)
@@ -106,15 +152,37 @@ def test_thread_count_invariance():
         jit.set_jit_threads(None)
 
 
-def test_per_job_engine_and_bad_engine():
+def test_group_requires_one_signature():
     _, jobs = _golden_jobs("swim")
-    results = detailed.run_detailed_group(jobs, engine="per-job")
+    results = detailed.run_detailed_group(jobs)
     assert _digest(results[0]) == GOLDEN_DIGESTS["swim-strong"]
-    with pytest.raises(SimulationError, match="unknown detailed group"):
-        detailed.run_detailed_group(jobs, engine="cuda")
+    assert detailed.run_detailed_group([]) == []
     with pytest.raises(SimulationError, match="must share"):
         detailed.run_detailed_group(
             [_job("gcc", baseline_config()), _job("mcf", baseline_config())])
+    with pytest.raises(SimulationError, match="must share"):
+        detailed.run_detailed_group(
+            [_job("gcc", baseline_config()),
+             SimJob("gcc", baseline_config(), backend="interval")])
+
+
+@pytest.mark.parametrize("route", ["per-member", "batched"])
+def test_group_rejects_a_different_attached_workload(monkeypatch, route):
+    """Two jobs named ``gcc``, one carrying mcf's workload model: they
+    synthesize different traces, so they cannot share a group's one
+    trace per interval — and the engine runs each as its own group."""
+    if route == "batched":
+        _route_through_batch(monkeypatch)
+    disguised = dataclasses.replace(get_benchmark("mcf"), name="gcc")
+    jobs = [_job("gcc", baseline_config()),
+            _job("gcc", baseline_config(), workload=disguised)]
+    with pytest.raises(SimulationError, match="must share"):
+        detailed.run_detailed_group(jobs)
+    from repro.engine.kernel import run_jobs
+
+    for job, result in zip(jobs, run_jobs(jobs)):
+        assert _digest(result) == _digest(job.run())
+    assert _digest(jobs[0].run()) != _digest(jobs[1].run())
 
 
 # ----------------------------------------------------------------------
@@ -151,16 +219,18 @@ def test_ragged_batched_checkpoint_resume(monkeypatch, tmp_path):
     reference = [dataclasses.replace(job, checkpoint_every=0).run()
                  for job in jobs]
 
+    _route_through_batch(monkeypatch)
     _crash_at(monkeypatch, 5)
     with pytest.raises(_Crash):
-        detailed.run_detailed_group(jobs, engine="batch-interp")
+        detailed.run_detailed_group(jobs)
     monkeypatch.undo()
 
     snapshots = sorted(tmp_path.glob("*.ckpt.npz"))
     assert len(snapshots) == len(jobs)  # saved mid-stream at interval 3
     (tmp_path / f"{jobs[2].key()}.ckpt.npz").unlink()  # force one fresh
 
-    resumed = detailed.run_detailed_group(jobs, engine="batch-interp")
+    _route_through_batch(monkeypatch)
+    resumed = detailed.run_detailed_group(jobs)
     for result, scalar in zip(resumed, reference):
         assert _digest(result) == _digest(scalar)
     assert not list(tmp_path.glob("*.ckpt.npz"))  # completed: all removed
@@ -168,25 +238,25 @@ def test_ragged_batched_checkpoint_resume(monkeypatch, tmp_path):
 
 def test_batched_snapshot_resumes_under_scalar_engine(monkeypatch, tmp_path):
     """A snapshot written from stacked state is a plain per-core
-    ``ckpt/v2`` file: a scalar ``job.run()`` resumes it bit-identically
-    (cross-engine checkpoint compatibility)."""
+    ``ckpt/v2`` file: an interpreted ``job.run()`` resumes it
+    bit-identically."""
     label, bench, config = golden_cases()[4]  # gcc-dvm
     job = _job(bench, config, checkpoint_every=3,
                checkpoint_dir=str(tmp_path))
+    _route_through_batch(monkeypatch)
     _crash_at(monkeypatch, 5)
     with pytest.raises(_Crash):
         detailed.run_detailed_group([job, _job(bench, baseline_config(),
                                                checkpoint_every=3,
-                                               checkpoint_dir=str(tmp_path))],
-                                    engine="batch-interp")
+                                               checkpoint_dir=str(tmp_path))])
     monkeypatch.undo()
     assert (tmp_path / f"{job.key()}.ckpt.npz").exists()
     assert _digest(job.run()) == GOLDEN_DIGESTS[label]
 
 
 def test_scalar_snapshot_resumes_under_batch(monkeypatch, tmp_path):
-    """And the converse: a scalar-engine snapshot resumes through the
-    batched stepper."""
+    """And the converse: an interpreted run's snapshot resumes through
+    the batched stepper."""
     label, bench, config = golden_cases()[0]
     job = _job(bench, config, checkpoint_every=3,
                checkpoint_dir=str(tmp_path))
@@ -197,14 +267,15 @@ def test_scalar_snapshot_resumes_under_batch(monkeypatch, tmp_path):
         calls[0] += 1
         if calls[0] > 5:
             raise _Crash()
-        return _original(self, trace, engine="python")
+        return _original(self, trace)
 
     monkeypatch.setattr(OutOfOrderCore, "run_interval", wrapper)
     with pytest.raises(_Crash):
         job.run()
     monkeypatch.undo()
     assert (tmp_path / f"{job.key()}.ckpt.npz").exists()
-    result, = detailed.run_detailed_group([job], engine="batch-interp")
+    _route_through_batch(monkeypatch)
+    result, = detailed.run_detailed_group([job])
     assert _digest(result) == GOLDEN_DIGESTS[label]
 
 
@@ -217,12 +288,12 @@ def test_run_group_routes_groups_through_batch(monkeypatch):
     seen = []
     real = detailed.run_detailed_group
 
-    def spy(jobs, engine=None):
+    def spy(jobs):
         seen.append(len(jobs))
-        return real(jobs, engine="batch-interp")
+        return real(jobs)
 
     monkeypatch.setattr("repro.uarch.detailed.run_detailed_group", spy)
-    monkeypatch.setattr(BATCH_ON, lambda: True)
+    _route_through_batch(monkeypatch)
     labels, jobs = _golden_jobs("gcc")
     results = kernel.run_jobs(jobs)
     assert seen == [len(jobs)]
@@ -231,31 +302,17 @@ def test_run_group_routes_groups_through_batch(monkeypatch):
 
 
 def test_run_group_per_job_when_batching_off(monkeypatch):
+    """Interpreted, a group runs member by member: nothing is stacked."""
     from repro.engine import kernel
 
-    def explode(jobs, engine=None):  # pragma: no cover - must not run
-        raise AssertionError("batched path taken while disabled")
+    def explode(states):  # pragma: no cover - must not run
+        raise AssertionError("batched path taken while interpreted")
 
-    monkeypatch.setattr("repro.uarch.detailed.run_detailed_group", explode)
-    monkeypatch.setattr(BATCH_ON, lambda: False)
+    monkeypatch.setattr(pipeline_kernel, "BatchKernelState", explode)
+    monkeypatch.setattr(BATCH_ON, lambda jit=None: False)
     labels, jobs = _golden_jobs("gcc")
     for label, result in zip(labels, kernel.run_jobs(jobs)):
         assert _digest(result) == GOLDEN_DIGESTS[label]
-
-
-def test_detailed_batch_enabled_requires_jit(monkeypatch):
-    from repro.engine.kernel import detailed_batch_enabled
-
-    try:
-        jit.set_jit(True)
-        assert detailed_batch_enabled() == jit.jit_available()
-        jit.set_jit(False)
-        assert not detailed_batch_enabled()
-        monkeypatch.setenv("REPRO_BATCH_KERNEL", "0")
-        jit.set_jit(True)
-        assert not detailed_batch_enabled()
-    finally:
-        jit.set_jit(None)
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +329,7 @@ def _mixed_jobs():
 
 
 def test_carve_chunk_rounds_down_to_group_boundary(monkeypatch):
-    monkeypatch.setattr(BATCH_ON, lambda: True)
+    monkeypatch.setattr(BATCH_ON, lambda jit=None: True)
     jobs = _mixed_jobs()
     # Detailed run starts at 2; a 4-job chunk from there would end at 6,
     # inside the gcc group — it must stop at the run start instead...
@@ -284,7 +341,7 @@ def test_carve_chunk_rounds_down_to_group_boundary(monkeypatch):
 
 
 def test_carve_chunk_extends_over_its_own_group(monkeypatch):
-    monkeypatch.setattr(BATCH_ON, lambda: True)
+    monkeypatch.setattr(BATCH_ON, lambda jit=None: True)
     jobs = _mixed_jobs()
     # Chunk starting inside the gcc run with a boundary that shears it:
     # the run is the whole chunk, so it extends to the run's end.
@@ -294,7 +351,7 @@ def test_carve_chunk_extends_over_its_own_group(monkeypatch):
 
 
 def test_carve_chunk_unchanged_when_batching_off(monkeypatch):
-    monkeypatch.setattr(BATCH_ON, lambda: False)
+    monkeypatch.setattr(BATCH_ON, lambda jit=None: False)
     jobs = _mixed_jobs()
     assert carve_chunk(jobs, 2, 4) == 6  # shearing allowed, as before
     assert carve_chunk(jobs, 0, 6) == 2
@@ -302,12 +359,12 @@ def test_carve_chunk_unchanged_when_batching_off(monkeypatch):
 
 def test_batch_group_run_lengths(monkeypatch):
     jobs = _mixed_jobs()
-    monkeypatch.setattr(BATCH_ON, lambda: True)
+    monkeypatch.setattr(BATCH_ON, lambda jit=None: True)
     assert batch_group_run(jobs, 0) == 1   # interval job
     assert batch_group_run(jobs, 2) == 6   # gcc run
     assert batch_group_run(jobs, 4) == 4   # tail of the gcc run
     assert batch_group_run(jobs, 8) == 2   # mcf run
-    monkeypatch.setattr(BATCH_ON, lambda: False)
+    monkeypatch.setattr(BATCH_ON, lambda jit=None: False)
     assert batch_group_run(jobs, 2) == 1
 
 

@@ -1,19 +1,23 @@
-"""Golden digests and engine parity for the detailed pipeline kernel.
+"""Golden digests and container parity for the detailed pipeline kernel.
 
-The detailed backend has two execution engines — the object-model
-interpreter and the struct-of-arrays kernel (optionally numba-compiled)
-— that must produce bit-identical statistic streams.  This module pins:
+The detailed backend has one pipeline source,
+:func:`repro.uarch.pipeline_kernel.step_interval`, run over two
+containers: resident Python lists (interpreted) and numpy arrays
+(numba-compiled where numba is installed, else stepped uncompiled).
+Both must produce bit-identical statistic streams.  This module pins:
 
 * golden sha256 digests of full detailed runs for five
   (benchmark, config) pairs, including DVM-enabled ones — any
   behavioural drift in the pipeline, caches, predictor or DVM
   controller fails loudly;
-* interpreter / kernel / JIT-setting parity against those digests
-  (the compiled-kernel case runs in CI's with-numba leg and is skipped
-  where numba is absent);
-* canonical-snapshot round-trips across engines, checkpoint
-  resume-mid-run (including crashing under one engine and resuming
-  under the other), and v1-checkpoint invalidation;
+* parity of the three stepping modes against those digests —
+  ``"python"`` (lists), ``"kernel-interp"`` (arrays, uncompiled) and
+  ``"kernel"`` (arrays, compiled; CI's with-numba leg, skipped where
+  numba is absent);
+* canonical-snapshot round-trips across containers, checkpoint
+  resume-mid-run (including crashing under one container and resuming
+  under the other — compiled <-> interpreted in the numba leg), and
+  v1-checkpoint invalidation;
 * the trace memo's sharing and isolation guarantees.
 
 Regenerate the digest table with ``tools/capture_detailed_goldens.py``
@@ -29,11 +33,12 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.reliability.dvm import DVMController, DVMPolicy
-from repro.uarch import jit
+from repro.uarch import jit, pipeline_kernel
 from repro.uarch.detailed import (CHECKPOINT_VERSION, DetailedSimulator,
                                   sweep_checkpoints)
 from repro.uarch.params import MachineConfig, baseline_config
 from repro.uarch.pipeline import OutOfOrderCore
+from repro.uarch.pipeline_kernel import KernelState
 from repro.workloads.generator import clear_trace_memo, synthesize_interval
 from repro.workloads.spec2000 import get_benchmark
 
@@ -85,12 +90,34 @@ def _digest(result) -> str:
     return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
-def _force_engine(monkeypatch, engine):
-    original = OutOfOrderCore.run_interval
-    monkeypatch.setattr(
-        OutOfOrderCore, "run_interval",
-        lambda self, trace, _original=original, _engine=engine:
-            _original(self, trace, engine=_engine))
+#: The three ways a core can step: ``"python"`` — the list container
+#: under CPython; ``"kernel-interp"`` — the array container stepped by
+#: the uncompiled source; ``"kernel"`` — the array container compiled
+#: by numba (skipped where numba is absent).
+MODES = ("python", "kernel-interp", "kernel")
+
+#: The array mode the numba leg compiles and other legs interpret.
+ARRAY_MODE = "kernel" if jit.jit_available() else "kernel-interp"
+
+
+def _use_modes(monkeypatch, *modes):
+    """Allow ``modes`` in this test (skipping ``"kernel"`` without
+    numba) and return a switch that builds every new core's state in
+    one of them."""
+    if "kernel" in modes and not jit.jit_available():
+        pytest.skip("numba not installed")
+    if "kernel-interp" in modes:
+        monkeypatch.setattr(pipeline_kernel, "compiled_step", lambda: False)
+
+    def switch(mode):
+        monkeypatch.setattr("repro.uarch.pipeline.jit_enabled",
+                            lambda: mode != "python")
+
+    return switch
+
+
+def _use_mode(monkeypatch, mode):
+    _use_modes(monkeypatch, mode)(mode)
 
 
 def _run_case(bench, config, **kwargs):
@@ -99,18 +126,22 @@ def _run_case(bench, config, **kwargs):
 
 
 # ----------------------------------------------------------------------
-# Golden digests per engine
+# Golden digests per container
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("label,bench,config", golden_cases(),
                          ids=[c[0] for c in golden_cases()])
-def test_interpreter_matches_goldens(label, bench, config):
+def test_interpreter_matches_goldens(monkeypatch, label, bench, config):
+    """The interpreted kernel: lists resident between intervals."""
+    _use_mode(monkeypatch, "python")
     assert _digest(_run_case(bench, config)) == GOLDEN_DIGESTS[label]
 
 
 @pytest.mark.parametrize("label,bench,config", golden_cases(),
                          ids=[c[0] for c in golden_cases()])
 def test_kernel_matches_goldens_uncompiled(monkeypatch, label, bench, config):
-    _force_engine(monkeypatch, "kernel-interp")
+    """The compiled leg's array container, stepped by the same source
+    uncompiled — checked without numba."""
+    _use_mode(monkeypatch, "kernel-interp")
     assert _digest(_run_case(bench, config)) == GOLDEN_DIGESTS[label]
 
 
@@ -118,7 +149,7 @@ def test_kernel_matches_goldens_uncompiled(monkeypatch, label, bench, config):
 @pytest.mark.parametrize("label,bench,config", golden_cases(),
                          ids=[c[0] for c in golden_cases()])
 def test_kernel_matches_goldens_compiled(monkeypatch, label, bench, config):
-    _force_engine(monkeypatch, "kernel")
+    _use_mode(monkeypatch, "kernel")
     assert _digest(_run_case(bench, config)) == GOLDEN_DIGESTS[label]
 
 
@@ -126,9 +157,9 @@ def test_jit_on_off_parity():
     """Digest invariant under the JIT setting, whatever numba's state.
 
     With numba absent a requested JIT silently falls back to the
-    interpreter; with numba present (CI's with-numba leg) the default
-    engine becomes the compiled kernel — either way the streams must
-    not move.
+    interpreted kernel; with numba present (CI's with-numba leg) new
+    cores get the compiled kernel — either way the streams must not
+    move.
     """
     label, bench, config = golden_cases()[0]
     try:
@@ -141,15 +172,8 @@ def test_jit_on_off_parity():
     assert off == on == GOLDEN_DIGESTS[label]
 
 
-def test_unknown_engine_rejected():
-    core = OutOfOrderCore(baseline_config())
-    trace = synthesize_interval(get_benchmark("gcc"), 0, N_SAMPLES, IPS)
-    with pytest.raises(SimulationError, match="unknown pipeline engine"):
-        core.run_interval(trace, engine="fortran")
-
-
 # ----------------------------------------------------------------------
-# Snapshot round-trips across engines
+# Snapshot round-trips across containers
 # ----------------------------------------------------------------------
 def _interval_signature(stats):
     return (stats.cycles, stats.branch_mispredicts,
@@ -157,63 +181,72 @@ def _interval_signature(stats):
             tuple(stats.ace_bit_cycles.items()))
 
 
-def _core_with_dvm():
-    return OutOfOrderCore(baseline_config(),
-                         dvm=DVMController(DVMPolicy(threshold=0.3)))
+def _core_with_dvm(mode="python"):
+    core = OutOfOrderCore(baseline_config(),
+                          dvm=DVMController(DVMPolicy(threshold=0.3)))
+    core.state = KernelState(core.config, compiled=mode != "python")
+    return core
 
 
-def _run_intervals(core, lo, hi, engine):
+def _run_intervals(core, lo, hi):
     workload = get_benchmark("gcc")
     return [
         _interval_signature(core.run_interval(
-            synthesize_interval(workload, i, N_SAMPLES, IPS), engine=engine))
+            synthesize_interval(workload, i, N_SAMPLES, IPS)))
         for i in range(lo, hi)
     ]
 
 
-def test_alternating_engines_bit_identical():
-    reference = _run_intervals(_core_with_dvm(), 0, N_SAMPLES, "python")
+def test_alternating_engines_bit_identical(monkeypatch):
+    """Moving the core between the list and array containers through
+    the canonical snapshot before every interval changes nothing."""
+    _use_modes(monkeypatch, "python", ARRAY_MODE)
+    reference = _run_intervals(_core_with_dvm(), 0, N_SAMPLES)
     core = _core_with_dvm()
-    workload = get_benchmark("gcc")
-    mixed = [
-        _interval_signature(core.run_interval(
-            synthesize_interval(workload, i, N_SAMPLES, IPS),
-            engine=("python" if i % 2 else "kernel-interp")))
-        for i in range(N_SAMPLES)
-    ]
+    mixed = []
+    for i in range(N_SAMPLES):
+        moved = _core_with_dvm(("python", ARRAY_MODE)[i % 2])
+        moved.restore_state(core.snapshot_state())
+        core = moved
+        mixed += _run_intervals(core, i, i + 1)
     assert mixed == reference
 
 
 @pytest.mark.parametrize("first_engine,second_engine",
                          [("kernel-interp", "python"),
-                          ("python", "kernel-interp")])
-def test_snapshot_round_trip_across_engines(first_engine, second_engine):
-    reference = _run_intervals(_core_with_dvm(), 0, N_SAMPLES, "python")
-    core = _core_with_dvm()
-    head = _run_intervals(core, 0, 4, first_engine)
+                          ("python", "kernel-interp"),
+                          ("kernel", "python"),
+                          ("python", "kernel")])
+def test_snapshot_round_trip_across_engines(monkeypatch, first_engine,
+                                            second_engine):
+    _use_modes(monkeypatch, first_engine, second_engine)
+    reference = _run_intervals(_core_with_dvm(), 0, N_SAMPLES)
+    core = _core_with_dvm(first_engine)
+    head = _run_intervals(core, 0, 4)
     snapshot = core.snapshot_state()
-    resumed = _core_with_dvm()
+    resumed = _core_with_dvm(second_engine)
     resumed.restore_state(snapshot)
-    tail = _run_intervals(resumed, 4, N_SAMPLES, second_engine)
+    tail = _run_intervals(resumed, 4, N_SAMPLES)
     assert head == reference[:4]
     assert tail == reference[4:]
 
 
-def test_kernel_and_object_snapshots_identical():
-    core = _core_with_dvm()
-    _run_intervals(core, 0, 4, "kernel-interp")
-    from_kernel = core.snapshot_state()
-    core._leave_kernel_mode()
-    from_objects = core.snapshot_state()
-    assert set(from_kernel) == set(from_objects)
-    for key in from_kernel:
-        assert np.array_equal(from_kernel[key], from_objects[key]), key
+def test_list_and_array_snapshots_identical(monkeypatch):
+    _use_modes(monkeypatch, "python", ARRAY_MODE)
+    cores = [_core_with_dvm(mode) for mode in ("python", ARRAY_MODE)]
+    for core in cores:
+        _run_intervals(core, 0, 4)
+    from_lists, from_arrays = (core.snapshot_state() for core in cores)
+    assert set(from_lists) == set(from_arrays)
+    for key in from_lists:
+        assert from_lists[key].dtype == from_arrays[key].dtype, key
+        assert np.array_equal(from_lists[key], from_arrays[key]), key
 
 
 def test_restore_rejects_mismatched_shapes():
     snapshot = OutOfOrderCore(baseline_config()).snapshot_state()
     small = MachineConfig(il1_size_kb=8, dl1_size_kb=8)
-    with pytest.raises(Exception, match="does not match"):
+    with pytest.raises(SimulationError, match="does not match"):
         OutOfOrderCore(small).restore_state(snapshot)
 
 
@@ -224,9 +257,9 @@ class _Crash(Exception):
     pass
 
 
-def _crashing_run(monkeypatch, bench, config, path, engine, crash_after):
-    """Run with checkpointing, forcing ``engine``, crashing after N
-    intervals; returns without the crash propagating."""
+def _crashing_run(monkeypatch, bench, config, path, crash_after):
+    """Run with checkpointing, crashing after N intervals; returns
+    without the crash propagating."""
     original = OutOfOrderCore.run_interval
     calls = [0]
 
@@ -234,30 +267,34 @@ def _crashing_run(monkeypatch, bench, config, path, engine, crash_after):
         calls[0] += 1
         if calls[0] > crash_after:
             raise _Crash()
-        return _original(self, trace, engine=engine)
+        return _original(self, trace)
 
     monkeypatch.setattr(OutOfOrderCore, "run_interval", wrapper)
     with pytest.raises(_Crash):
         _run_case(bench, config, checkpoint_every=3, checkpoint_path=path)
-    monkeypatch.undo()
+    monkeypatch.setattr(OutOfOrderCore, "run_interval", original)
 
 
 @pytest.mark.parametrize("crash_engine,resume_engine",
                          [("python", "python"),
                           ("kernel-interp", "python"),
-                          ("python", "kernel-interp")])
+                          ("python", "kernel-interp"),
+                          ("kernel", "python"),
+                          ("python", "kernel")])
 def test_checkpoint_resume_mid_run(monkeypatch, tmp_path,
                                    crash_engine, resume_engine):
-    """A crashed run resumes bit-identically — in either engine, from a
-    snapshot written by either engine (DVM controller state included)."""
+    """A crashed run resumes bit-identically — in either container, from
+    a snapshot written by either (DVM controller state included);
+    compiled <-> interpreted in the numba leg."""
+    switch = _use_modes(monkeypatch, crash_engine, resume_engine)
     label, bench, config = golden_cases()[4]  # gcc-dvm
     path = tmp_path / "run.ckpt.npz"
     # Warmup + intervals 0..3 simulate; snapshot lands at next=3.
-    _crashing_run(monkeypatch, bench, config, path, crash_engine,
-                  crash_after=5)
+    switch(crash_engine)
+    _crashing_run(monkeypatch, bench, config, path, crash_after=5)
     assert path.exists()
 
-    _force_engine(monkeypatch, resume_engine)
+    switch(resume_engine)
     calls = [0]
     original = OutOfOrderCore.run_interval
 

@@ -25,7 +25,6 @@ import pytest
 from repro.engine.executor import LocalExecutor, ParallelExecutor
 from repro.engine.jobs import SimJob, make_jobs
 from repro.engine.kernel import (
-    batch_kernel_enabled,
     group_signature,
     plan_groups,
     run_jobs,
@@ -309,25 +308,15 @@ def test_group_signature_partitions():
     assert sizes == [1, 3, 4, 12]
 
 
-def test_plan_groups_disabled(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH_KERNEL", "0")
-    assert not batch_kernel_enabled()
+def test_run_jobs_matches_per_job_run():
     jobs = _mixed_jobs()
-    assert plan_groups(jobs) == [[i] for i in range(len(jobs))]
-
-
-def test_run_jobs_matches_per_job_run(monkeypatch):
-    jobs = _mixed_jobs()
-    monkeypatch.setenv("REPRO_BATCH_KERNEL", "0")
-    ref = run_jobs(jobs)
-    monkeypatch.setenv("REPRO_BATCH_KERNEL", "1")
+    ref = [job.run() for job in jobs]
     got = run_jobs(jobs)
     for r, g in zip(ref, got):
         _result_equal(r, g)
 
 
-def test_local_executor_stream_grouped(monkeypatch):
-    monkeypatch.delenv("REPRO_BATCH_KERNEL", raising=False)
+def test_local_executor_stream_grouped():
     jobs = _mixed_jobs()
     ref = [j.run() for j in jobs]
     seen = []
